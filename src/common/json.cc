@@ -234,7 +234,7 @@ class Parser
     Json
     parse()
     {
-        Json v = value();
+        Json v = value(0);
         skipWs();
         if (pos_ != text_.size())
             fail("trailing characters");
@@ -380,10 +380,16 @@ class Parser
         return Json(v);
     }
 
+    /** A value inside @p depth enclosing containers. */
     Json
-    value()
+    value(int depth)
     {
         char c = peek();
+        // Recursion is per container level, so the bound keeps a
+        // hostile document from picking the stack depth.
+        if ((c == '{' || c == '[') && depth == kMaxJsonDepth)
+            fatal("JSON parse error at offset ", pos_,
+                  ": nesting deeper than ", kMaxJsonDepth, " levels");
         if (c == '{') {
             ++pos_;
             Json obj = Json::object();
@@ -395,7 +401,7 @@ class Parser
                 skipWs();
                 std::string key = string();
                 expect(':');
-                obj[key] = value();
+                obj[key] = value(depth + 1);
                 char sep = peek();
                 ++pos_;
                 if (sep == '}')
@@ -412,7 +418,7 @@ class Parser
                 return arr;
             }
             while (true) {
-                arr.push(value());
+                arr.push(value(depth + 1));
                 char sep = peek();
                 ++pos_;
                 if (sep == ']')

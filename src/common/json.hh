@@ -28,6 +28,14 @@
 
 namespace libra {
 
+/**
+ * Deepest array/object nesting Json::parse accepts. Every document the
+ * project writes stays under ten levels; the bound only stops hostile
+ * input (a serve request line, a cache entry) from overflowing the
+ * stack.
+ */
+inline constexpr int kMaxJsonDepth = 256;
+
 /** Shortest string that strtod parses back to exactly @p v. */
 std::string jsonNumberToString(double v);
 
@@ -114,7 +122,11 @@ class Json
      */
     std::string dump(int indent = -1) const;
 
-    /** Parse @p text. @throws FatalError on malformed input. */
+    /**
+     * Parse @p text. @throws FatalError on malformed input, including
+     * arrays/objects nested deeper than kMaxJsonDepth (the parser
+     * recurses per level, so hostile input must not pick the depth).
+     */
     static Json parse(const std::string& text);
 
   private:

@@ -1,16 +1,27 @@
 #include "core/framework.hh"
 
+#include <cmath>
+
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "solver/constraint_set.hh"
 
 namespace libra {
 
 namespace {
 
+void
+requireFinite(double v, const std::string& what)
+{
+    if (!std::isfinite(v))
+        fatal(what, " must be finite, got ", v);
+}
+
 /** One study point, with the pool left alone (sweeps own the pool). */
 LibraReport
 runLibraPoint(const LibraInputs& inputs)
 {
+    validateInputs(inputs);
     Network net = Network::parse(inputs.networkShape);
     BwOptimizer optimizer(net, inputs.costModel);
 
@@ -38,6 +49,37 @@ runLibraPoint(const LibraInputs& inputs)
 }
 
 } // namespace
+
+void
+validateInputs(const LibraInputs& inputs)
+{
+    const OptimizerConfig& config = inputs.config;
+    requireFinite(config.totalBw, "total BW");
+    requireFinite(config.minDimBw, "per-dimension BW floor");
+    requireFinite(config.budgetCap, "dollar cap");
+    for (const TargetWorkload& target : inputs.targets)
+        requireFinite(target.weight,
+                      "weight of workload '" + target.workload.name + "'");
+    for (PhysicalLevel level :
+         {PhysicalLevel::Chiplet, PhysicalLevel::Package,
+          PhysicalLevel::Node, PhysicalLevel::Pod}) {
+        ComponentCost cost = inputs.costModel.levelCost(level);
+        std::string name = physicalLevelName(level);
+        requireFinite(cost.link, name + " link cost");
+        requireFinite(cost.switch_, name + " switch cost");
+        requireFinite(cost.nic, name + " NIC cost");
+    }
+    if (config.constraints.empty())
+        return;
+    ConstraintSet parsed(Network::parse(inputs.networkShape).numDims());
+    for (const std::string& text : config.constraints)
+        parsed.addParsed(text);
+    for (const LinearConstraint& c : parsed.constraints()) {
+        for (double coeff : c.coeffs)
+            requireFinite(coeff, "constraint '" + c.label + "' coefficient");
+        requireFinite(c.rhs, "constraint '" + c.label + "' bound");
+    }
+}
 
 LibraReport
 runLibra(const LibraInputs& inputs)

@@ -62,6 +62,17 @@ struct LibraReport
     double perfPerCostGain = 0.0;
 };
 
+/**
+ * Reject non-finite study values with FatalError: the BW budget and
+ * per-dimension floor, the dollar cap, every target weight, every
+ * cost-model price, and every parsed constraint coefficient and bound
+ * (constraint text that fails to parse is a FatalError too). Finite
+ * values all pass, so DOLLAR_CAP 0 still means "no cap". Every study
+ * point — runLibra and both sweeps — is checked before any solver
+ * runs, so NaN and inf never reach the objective.
+ */
+void validateInputs(const LibraInputs& inputs);
+
 /** Run a full LIBRA design study. */
 LibraReport runLibra(const LibraInputs& inputs);
 

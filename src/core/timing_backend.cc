@@ -1,10 +1,12 @@
 #include "core/timing_backend.hh"
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/chunk_timeline.hh"
 
@@ -40,37 +42,46 @@ class AnalyticalTimingBackend final : public TimingBackend
 std::atomic<bool> gChunkSimMemo{true};
 
 /**
- * Canonical memo key of one (collective, bandwidth) query. Built from
- * the shared canonical field encoders, so distinct queries cannot
- * collide by concatenation.
+ * Bit-exact memo key of one (collective, bandwidth) query: fixed-width
+ * words for the type, the in-network flag, the field counts, the bit
+ * patterns of size and bandwidths, and every span. Bit-equal keys are
+ * finer than the canonical text (-0.0 and 0.0 differ), so two distinct
+ * queries never share an entry.
  */
-std::string
-chunkSimMemoKey(CollectiveType type, Bytes size,
+using ChunkSimKey = std::vector<std::uint64_t>;
+
+struct ChunkSimKeyHash
+{
+    std::size_t
+    operator()(const ChunkSimKey& key) const
+    {
+        return std::hash<std::string_view>{}(std::string_view(
+            reinterpret_cast<const char*>(key.data()),
+            key.size() * sizeof(std::uint64_t)));
+    }
+};
+
+void
+chunkSimMemoKey(ChunkSimKey* key, CollectiveType type, Bytes size,
                 const std::vector<DimSpan>& spans, const BwConfig& bw,
                 bool in_network)
 {
-    std::string key;
-    key.reserve(64 + 32 * spans.size() + 16 * bw.size());
-    key += std::to_string(static_cast<int>(type));
-    key += in_network ? "i " : "d ";
-    appendCanonicalNumber(key, size);
-    key += std::to_string(spans.size());
-    key += "spans ";
+    key->clear();
+    key->push_back(static_cast<std::uint64_t>(type) |
+                   (in_network ? 1ull << 8 : 0ull));
+    key->push_back(spans.size());
+    key->push_back(bw.size());
+    key->push_back(std::bit_cast<std::uint64_t>(size));
     for (const auto& span : spans) {
-        key += std::to_string(span.dim);
-        key += ',';
-        key += std::to_string(span.groupSize);
-        key += ',';
-        appendCanonicalNumber(key, span.efficiency);
+        key->push_back(span.dim);
+        key->push_back(static_cast<std::uint32_t>(span.groupSize));
+        key->push_back(std::bit_cast<std::uint64_t>(span.efficiency));
     }
-    key += std::to_string(bw.size());
-    key += "bw ";
     for (double b : bw)
-        appendCanonicalNumber(key, b);
-    return key;
+        key->push_back(std::bit_cast<std::uint64_t>(b));
 }
 
-/** One chunk-pipelined collective through ChunkTimeline. */
+/** One chunk-pipelined collective through the chunk timeline. */
 CollectiveTiming
 chunkSimCollectiveTiming(CollectiveType type, Bytes size,
                          const std::vector<DimSpan>& spans,
@@ -86,14 +97,15 @@ chunkSimCollectiveTiming(CollectiveType type, Bytes size,
     if (in_network && type == CollectiveType::AllReduce)
         return multiRailTime(type, size, spans, bw, true);
 
-    ChunkTimeline timeline(bw.size(), bw);
-    CollectiveJob job;
+    // One reused job per thread: a miss copies only the spans, into
+    // capacity the previous miss left behind.
+    thread_local CollectiveJob job;
     job.type = type;
     job.size = size;
-    job.spans = spans;
+    job.spans.assign(spans.begin(), spans.end());
     job.numChunks = kChunkSimNumChunks;
     job.policy = SchedulePolicy::FixedAscending;
-    TimelineResult result = timeline.run({job});
+    TimelineResult result = runChunkTimeline(bw, {&job, 1});
 
     timing.time = result.makespan;
     timing.trafficPerDim = multiRailTraffic(type, size, spans);
@@ -154,10 +166,12 @@ class ChunkSimTimingBackend final : public TimingBackend
         // without limit (clearing never changes results — the sim is a
         // pure function of the key).
         constexpr std::size_t kMemoCapacity = 1u << 15;
-        thread_local std::unordered_map<std::string, CollectiveTiming>
+        thread_local std::unordered_map<ChunkSimKey, CollectiveTiming,
+                                        ChunkSimKeyHash>
             memo;
-        std::string key =
-            chunkSimMemoKey(type, size, spans, bw, in_network);
+        // Reused lookup buffer: a hit allocates nothing.
+        thread_local ChunkSimKey key;
+        chunkSimMemoKey(&key, type, size, spans, bw, in_network);
         auto it = memo.find(key);
         if (it != memo.end())
             return it->second;
@@ -165,7 +179,7 @@ class ChunkSimTimingBackend final : public TimingBackend
             memo.clear();
         CollectiveTiming timing =
             chunkSimCollectiveTiming(type, size, spans, bw, in_network);
-        memo.emplace(std::move(key), timing);
+        memo.emplace(key, timing);
         return timing;
     }
 };

@@ -17,11 +17,20 @@
  *
  * Output is a full op-level timeline with per-dimension busy time and
  * the BW-weighted average network utilization (the Fig. 10 metric).
+ *
+ * The engine is a flat event loop: a (when, seq)-ordered heap of POD
+ * stage-end events beside a time-sorted release array, POD chunk
+ * records whose span lists are slices of two flat arrays, and one
+ * vector-backed FIFO per dimension, all reused per thread. It follows
+ * the EventQueue conventions (picosecond ticks, ties broken by
+ * scheduling order); tests/test_chunk_timeline.cc pins its output bits
+ * with a seeded digest.
  */
 
 #ifndef LIBRA_SIM_CHUNK_TIMELINE_HH
 #define LIBRA_SIM_CHUNK_TIMELINE_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,6 +81,16 @@ struct TimelineResult
     /** ASCII rendering of the per-dimension timeline (Fig. 9 style). */
     std::string render(std::size_t num_dims, int width = 72) const;
 };
+
+/**
+ * Simulate @p jobs to completion on a bw.size()-dim network; what
+ * ChunkTimeline::run does, without copying @p bw into a timeline. A
+ * warm thread allocates only the result.
+ * @throws FatalError on a job with spans but fewer than one chunk, or
+ * a span outside the network's dimensions.
+ */
+TimelineResult runChunkTimeline(const BwConfig& bw,
+                                std::span<const CollectiveJob> jobs);
 
 /** Chunk-granularity simulator over one network's dimensions. */
 class ChunkTimeline

@@ -1,22 +1,8 @@
 #include "sim/event_queue.hh"
 
-#include <cmath>
-
 #include "common/logging.hh"
 
 namespace libra {
-
-Tick
-toTicks(Seconds s)
-{
-    return static_cast<Tick>(std::llround(s * kTicksPerSecond));
-}
-
-Seconds
-toSeconds(Tick t)
-{
-    return static_cast<Seconds>(t) / kTicksPerSecond;
-}
 
 void
 EventQueue::schedule(Tick when, std::function<void()> callback)

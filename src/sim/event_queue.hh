@@ -10,6 +10,7 @@
 #ifndef LIBRA_SIM_EVENT_QUEUE_HH
 #define LIBRA_SIM_EVENT_QUEUE_HH
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -25,10 +26,18 @@ using Tick = std::uint64_t;
 constexpr double kTicksPerSecond = 1e12;
 
 /** Seconds -> ticks (rounded). */
-Tick toTicks(Seconds s);
+inline Tick
+toTicks(Seconds s)
+{
+    return static_cast<Tick>(std::llround(s * kTicksPerSecond));
+}
 
 /** Ticks -> seconds. */
-Seconds toSeconds(Tick t);
+inline Seconds
+toSeconds(Tick t)
+{
+    return static_cast<Seconds>(t) / kTicksPerSecond;
+}
 
 /** A chronological queue of callbacks. */
 class EventQueue

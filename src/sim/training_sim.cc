@@ -55,7 +55,8 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
         fatal("workload ", w.name, " uses ", w.strategy.npus(),
               " NPUs but network ", net_.name(), " has ", net_.npus());
     }
-    ChunkTimeline timeline(net_.numDims(), bw);
+    if (bw.size() != net_.numDims())
+        panic("bw rank ", bw.size(), " != dims ", net_.numDims());
     TrainingSimResult result;
     result.dimBusy.assign(net_.numDims(), 0.0);
 
@@ -69,9 +70,8 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
     auto runSequential = [&](const std::vector<CollectiveJob>& jobs) {
         Seconds t = 0.0;
         for (const auto& job : jobs) {
-            CollectiveJob j = job;
-            j.releaseTime = 0.0;
-            t += accumulate(timeline.run({j}));
+            // jobsFor(..., 0.0) released every job at time zero.
+            t += accumulate(runChunkTimeline(bw, {&job, 1}));
         }
         return t;
     };
@@ -109,7 +109,7 @@ TrainingSim::simulate(const Workload& w, const BwConfig& bw) const
             if (jobs.empty()) {
                 tail = layer.wgCompute;
             } else {
-                TimelineResult tl = timeline.run(jobs);
+                TimelineResult tl = runChunkTimeline(bw, jobs);
                 tail = std::max(accumulate(tl), layer.wgCompute);
             }
             result.total += tail;

@@ -170,7 +170,13 @@ class ConstraintParser
         if (pos_ == start)
             fatal("constraint '", text_, "': expected number at pos ",
                   start);
-        return std::stod(text_.substr(start, pos_ - start));
+        std::string token = text_.substr(start, pos_ - start);
+        try {
+            return std::stod(token);
+        } catch (const std::exception&) {
+            // No digits (".") or out of double range ("1e999").
+            fatal("constraint '", text_, "': bad number '", token, "'");
+        }
     }
 
     /** term := [number ['*']] Bk | number */

@@ -230,6 +230,23 @@ TEST(CacheAdversarial, TruncatedEntryIsQuarantinedAndRecoverable)
     std::filesystem::remove_all(dir);
 }
 
+TEST(CacheAdversarial, NestingBombEntryIsQuarantined)
+{
+    std::string dir = freshDir("libra-fault-nesting");
+    SeededCache s(dir);
+    {
+        std::ofstream out(s.file, std::ios::trunc);
+        out << std::string(200000, '[');
+    }
+
+    setInformEnabled(false);
+    LibraReport out;
+    EXPECT_FALSE(s.cache.load(s.key, s.canonical, &out));
+    EXPECT_EQ(s.cache.stats().quarantined, 1u);
+    EXPECT_TRUE(std::filesystem::exists(s.file + ".corrupt"));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(CacheAdversarial, BitFlippedBodyFailsTheChecksum)
 {
     std::string dir = freshDir("libra-fault-bitflip");

@@ -3,8 +3,13 @@
  * Tests for the chunk-level pipeline simulator (Fig. 9).
  */
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "sim/chunk_timeline.hh"
 
 namespace libra {
@@ -207,6 +212,14 @@ TEST(ChunkTimeline, RenderProducesRows)
     EXPECT_NE(art.find("% busy"), std::string::npos);
 }
 
+TEST(ChunkTimeline, MalformedJobsAreFatal)
+{
+    ChunkTimeline tl(2, {10.0, 10.0});
+    EXPECT_THROW(tl.run({arJob(1e9, {{0, 4}}, 0)}), FatalError);
+    // A span past the network's dimensions used to index out of bounds.
+    EXPECT_THROW(tl.run({arJob(1e9, {{0, 4}, {2, 4}}, 4)}), FatalError);
+}
+
 /** Property: makespan decreases (weakly) as bottleneck BW increases. */
 class TimelineMonotonicity : public ::testing::TestWithParam<double>
 {};
@@ -223,6 +236,133 @@ TEST_P(TimelineMonotonicity, MoreBwNotSlower)
 
 INSTANTIATE_TEST_SUITE_P(Bw, TimelineMonotonicity,
                          ::testing::Values(1.0, 5.0, 20.0, 100.0));
+
+std::uint64_t
+splitmix64(std::uint64_t* state)
+{
+    std::uint64_t z = (*state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** Uniform double in [lo, hi). */
+double
+uniform(std::uint64_t* state, double lo, double hi)
+{
+    return lo + (hi - lo) * static_cast<double>(splitmix64(state) >> 11) *
+                    0x1.0p-53;
+}
+
+/** Uniform integer in [lo, hi]. */
+int
+uniformInt(std::uint64_t* state, int lo, int hi)
+{
+    return lo + static_cast<int>(splitmix64(state) %
+                                 static_cast<std::uint64_t>(hi - lo + 1));
+}
+
+void
+fnv1a(std::uint64_t* hash, const std::string& text)
+{
+    for (unsigned char c : text) {
+        *hash ^= c;
+        *hash *= 0x100000001b3ull;
+    }
+}
+
+std::string
+hexfloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%a", v);
+    return buf;
+}
+
+/**
+ * Bit-identity pin: FNV-1a over the hexfloat makespan, dimBusy and
+ * every record of a seeded corpus. The corpus draws every collective
+ * type, both schedule policies, partial-span efficiencies, multi-job
+ * releases and 1-5 dims. The digest was computed on the
+ * std::function/EventQueue engine; any rewrite of ChunkTimeline must
+ * reproduce it bit for bit.
+ */
+TEST(ChunkTimeline, SeededCorpusDigestIsPinned)
+{
+    constexpr int kCases = 2000;
+    constexpr CollectiveType kTypes[] = {
+        CollectiveType::AllReduce, CollectiveType::ReduceScatter,
+        CollectiveType::AllGather, CollectiveType::AllToAll,
+        CollectiveType::PointToPoint};
+    std::uint64_t rng = 0x4c49425241ull; // "LIBRA"
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::size_t totalRecords = 0;
+    bool sawType[5] = {};
+    bool sawPolicy[2] = {};
+    bool sawPartial = false;
+    bool sawMultiJobRelease = false;
+    for (int c = 0; c < kCases; ++c) {
+        std::size_t dims = static_cast<std::size_t>(c % 5) + 1;
+        BwConfig bw(dims);
+        for (double& b : bw)
+            b = uniform(&rng, 1.0, 500.0);
+        ChunkTimeline tl(dims, bw);
+
+        std::vector<CollectiveJob> jobs(
+            static_cast<std::size_t>(uniformInt(&rng, 1, 3)));
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            CollectiveJob& job = jobs[j];
+            int t = (c / 5 + static_cast<int>(j)) % 5;
+            job.type = kTypes[t];
+            sawType[t] = true;
+            job.policy = uniformInt(&rng, 0, 1) == 1
+                             ? SchedulePolicy::Greedy
+                             : SchedulePolicy::FixedAscending;
+            sawPolicy[job.policy == SchedulePolicy::Greedy] = true;
+            job.size = uniform(&rng, 1e6, 4e9);
+            job.numChunks = uniformInt(&rng, 1, 48);
+            if (j > 0 && uniformInt(&rng, 0, 1) == 1) {
+                job.releaseTime = uniform(&rng, 0.0, 0.05);
+                sawMultiJobRelease = true;
+            }
+            for (std::size_t d = 0; d < dims; ++d) {
+                if (dims > 1 && uniformInt(&rng, 0, 3) == 0)
+                    continue; // Groups need not span every dim.
+                DimSpan span;
+                span.dim = d;
+                span.groupSize = uniformInt(&rng, 2, 16);
+                if (uniformInt(&rng, 0, 2) == 0) {
+                    span.efficiency = uniform(&rng, 0.25, 1.0);
+                    sawPartial = true;
+                }
+                job.spans.push_back(span);
+            }
+        }
+
+        TimelineResult r = tl.run(jobs);
+        std::string text = hexfloat(r.makespan) + "|" +
+                           hexfloat(r.avgBwUtilization) + "|";
+        for (Seconds busy : r.dimBusy)
+            text += hexfloat(busy) + ",";
+        for (const TimelineRecord& rec : r.records) {
+            text += std::to_string(rec.job) + ":" +
+                    std::to_string(rec.chunk) + ":" +
+                    std::to_string(rec.dim) + ":" +
+                    (rec.allGather ? "g" : "s") + ":" +
+                    hexfloat(rec.start) + ":" + hexfloat(rec.end) + ";";
+        }
+        fnv1a(&hash, text);
+        totalRecords += r.records.size();
+    }
+
+    for (bool seen : sawType)
+        EXPECT_TRUE(seen);
+    EXPECT_TRUE(sawPolicy[0] && sawPolicy[1]);
+    EXPECT_TRUE(sawPartial);
+    EXPECT_TRUE(sawMultiJobRelease);
+    EXPECT_EQ(totalRecords, 239532u);
+    EXPECT_EQ(hash, 4126901080887435852ull);
+}
 
 } // namespace
 } // namespace libra

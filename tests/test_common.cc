@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for common utilities: units, logging, RNG, and table printing.
+ * Tests for common utilities: units, logging, RNG, table printing, and
+ * the JSON parser's nesting bound.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/table.hh"
@@ -54,6 +56,32 @@ TEST(Logging, InformAndWarnDoNotThrow)
     EXPECT_NO_THROW(inform("quiet"));
     setInformEnabled(true);
     EXPECT_NO_THROW(warn("just a warning ", 1));
+}
+
+TEST(Json, NestingUpToTheBoundParses)
+{
+    std::string arrays = std::string(kMaxJsonDepth, '[') +
+                         std::string(kMaxJsonDepth, ']');
+    EXPECT_NO_THROW(Json::parse(arrays));
+
+    std::string objects;
+    for (int i = 0; i < kMaxJsonDepth; ++i)
+        objects += "{\"k\":";
+    objects += "1" + std::string(kMaxJsonDepth, '}');
+    EXPECT_NO_THROW(Json::parse(objects));
+}
+
+TEST(Json, NestingPastTheBoundIsFatalNotACrash)
+{
+    std::string deep = std::string(kMaxJsonDepth + 1, '[') +
+                       std::string(kMaxJsonDepth + 1, ']');
+    EXPECT_THROW(Json::parse(deep), FatalError);
+    // The 200,000-byte request line that overflowed the stack.
+    EXPECT_THROW(Json::parse(std::string(200000, '[')), FatalError);
+    std::string mixed;
+    for (int i = 0; i < 100000; ++i)
+        mixed += "{\"a\":[";
+    EXPECT_THROW(Json::parse(mixed), FatalError);
 }
 
 TEST(Rng, Deterministic)

@@ -10,6 +10,13 @@
  *  - fig13: Fig. 13 speedups over EqualBW
  *  - fig14: Fig. 14 perf-per-cost gains
  *
+ * Byte-pinned scenarios (outside goldenScenarioNames(), so they stay
+ * out of `run-matrix golden`): fig09 and crossval, the two chunk-level
+ * simulation consumers besides fig10. Their emitted JSON must equal
+ * tests/golden/fig09.json and tests/golden/crossval.json byte for
+ * byte, which holds any ChunkTimeline or chunk-sim memo rewrite to
+ * bit identity.
+ *
  * Golden files live in tests/golden/<scenario>.json (path baked in via
  * LIBRA_GOLDEN_DIR). Regenerate after an intentional result change:
  *
@@ -216,6 +223,32 @@ TEST_F(GoldenFigures, HeadlineClaimsHold)
         if (k == "fig12_matches_paper") {
             EXPECT_EQ(v, 1.0) << "Fig. 12 worked example no longer "
                                  "matches $1,722";
+        }
+    }
+}
+
+TEST(GoldenBytes, ChunkSimScenariosMatchPinnedBytes)
+{
+    setInformEnabled(false);
+    MatrixResult result = runScenarioMatrix({"fig09", "crossval"});
+    ASSERT_EQ(result.scenarios.size(), 2u);
+    for (const ScenarioRun& run : result.scenarios) {
+        SCOPED_TRACE(run.name);
+        std::ifstream file(goldenPath(run.name), std::ios::binary);
+        ASSERT_TRUE(file) << "missing pinned file "
+                          << goldenPath(run.name);
+        std::ostringstream pinned;
+        pinned << file.rdbuf();
+        std::string actual = scenarioRunToJson(run).dump(1) + "\n";
+        if (actual != pinned.str()) {
+            // After an intentional result change, inspect this file
+            // and copy it over the pin.
+            std::string out =
+                testing::TempDir() + run.name + ".json.actual";
+            std::ofstream(out, std::ios::binary) << actual;
+            ADD_FAILURE() << run.name << ": emitted bytes drifted from "
+                          << goldenPath(run.name) << "; actual bytes in "
+                          << out;
         }
     }
 }

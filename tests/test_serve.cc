@@ -550,6 +550,29 @@ TEST(Serve, OversizedRequestLineIsAnsweredAndTheConnectionClosed)
     server.stop();
 }
 
+TEST(Serve, NestingBombRequestIsAnsweredAndPingStillWorks)
+{
+    ServeOptions options;
+    options.socketPath = testing::TempDir() + "libra-serve-n.sock";
+    Server server(std::move(options));
+    server.start();
+
+    // 200,000 '[' on one line: an unbounded recursive parse overflows
+    // the stack; the depth limit turns it into an answered error.
+    ServeReply bomb =
+        serveRequest(server.socketPath(), std::string(200000, '['));
+    EXPECT_FALSE(bomb.status.at("ok").asBool());
+    EXPECT_NE(bomb.status.at("error").asString().find("nesting deeper"),
+              std::string::npos);
+    EXPECT_EQ(server.stats().errors, 1u);
+
+    ServeReply ok =
+        serveRequest(server.socketPath(), "{\"op\": \"ping\"}");
+    EXPECT_TRUE(ok.status.at("ok").asBool());
+
+    server.stop();
+}
+
 /**
  * A fake "server" that accepts one connection, drains the request
  * line, answers with @p response verbatim, and closes.

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/logging.hh"
+#include "core/framework.hh"
 #include "core/study_config.hh"
 
 namespace libra {
@@ -121,6 +124,70 @@ STARTS 2
 )");
     LibraReport r = runLibra(in);
     EXPECT_GE(r.speedup, 1.0 - 1e-6);
+}
+
+/**
+ * Non-finite study values parse (strtod accepts nan/inf) but are
+ * rejected with FatalError at the runLibra seam. They used to crash
+ * the solver (TOTAL_BW nan, WEIGHT nan) or run silently (DOLLAR_CAP
+ * nan).
+ */
+TEST(StudyConfig, NonFiniteValuesAreFatalAtTheRunLibraSeam)
+{
+    const std::string base = "NETWORK FC(8)_RI(8)\nSTARTS 1\n";
+    struct Case
+    {
+        const char* lines;
+        const char* message;
+    };
+    const Case cases[] = {
+        {"TOTAL_BW nan\nWORKLOAD gpt3\n", "total BW must be finite"},
+        {"TOTAL_BW inf\nWORKLOAD gpt3\n", "total BW must be finite"},
+        {"TOTAL_BW -inf\nWORKLOAD gpt3\n", "total BW must be finite"},
+        {"WORKLOAD gpt3 WEIGHT nan\n", "weight of workload"},
+        {"WORKLOAD gpt3 WEIGHT inf\n", "weight of workload"},
+        {"DOLLAR_CAP nan\nWORKLOAD gpt3\n", "dollar cap must be finite"},
+        {"DOLLAR_CAP inf\nWORKLOAD gpt3\n", "dollar cap must be finite"},
+        {"COST Pod LINK nan\nWORKLOAD gpt3\n", "Pod link cost"},
+        {"COST Node SWITCH inf\nWORKLOAD gpt3\n", "Node switch cost"},
+        {"COST Pod NIC -inf\nWORKLOAD gpt3\n", "Pod NIC cost"},
+        {"CONSTRAINT B1 <= 1e308 + 1e308\nWORKLOAD gpt3\n",
+         "bound must be finite"},
+        {"CONSTRAINT 1e308*B1 + 1e308*B1 <= 5\nWORKLOAD gpt3\n",
+         "coefficient must be finite"},
+        {"CONSTRAINT B1 <= 1e999\nWORKLOAD gpt3\n", "bad number"},
+    };
+    setInformEnabled(false);
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.lines);
+        LibraInputs in = parseStudyConfigString(base + c.lines);
+        try {
+            runLibra(in);
+            ADD_FAILURE() << "expected FatalError";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(c.message),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(StudyConfig, FiniteEdgeValuesStillRun)
+{
+    // DOLLAR_CAP 0 means "no cap"; zero prices and weights are finite.
+    LibraInputs in = parseStudyConfigString(R"(
+NETWORK FC(8)_RI(8)
+TOTAL_BW 300
+DOLLAR_CAP 0
+COST Pod NIC 0
+CONSTRAINT B1 >= 1e-3
+WORKLOAD gpt3
+WORKLOAD dlrm WEIGHT 0
+STARTS 1
+)");
+    EXPECT_NO_THROW(validateInputs(in));
+    LibraReport r = runLibra(in);
+    EXPECT_GT(r.optimized.weightedTime, 0.0);
 }
 
 } // namespace

@@ -13,7 +13,7 @@
  *   libra_cli list-explorers   # list registered exploration strategies
  *   libra_cli run-matrix <names...|all|golden> [options]
  *   libra_cli serve --socket PATH [options]
- *   libra_cli serve-request --socket PATH <request-json>
+ *   libra_cli serve-request --socket PATH <request-json | ->
  *
  * Every list command accepts `--emit json` for a byte-stable,
  * insertion-ordered registry dump external tooling can consume.
@@ -85,7 +85,8 @@
  *
  * serve-request sends one request line to a running server, writes the
  * payload to stdout and the status line to stderr (exit 0 ok, 1 error,
- * 3 ok-with-failed-points — mirroring run-matrix).
+ * 3 ok-with-failed-points — mirroring run-matrix). A request of `-`
+ * reads the line from stdin.
  *
  * Exit codes: 0 success; 1 user error (bad configuration, FatalError);
  * 2 internal error; 3 partial failure (an isolate-mode matrix run that
@@ -673,6 +674,15 @@ runServeRequestCommand(const std::vector<std::string>& args)
                      "a request JSON line\n";
         return 1;
     }
+    if (request == "-") {
+        // Lines past the kernel's per-argument limit (128 KiB) arrive
+        // on stdin instead; one trailing newline is the frame's own.
+        std::ostringstream text;
+        text << std::cin.rdbuf();
+        request = text.str();
+        if (!request.empty() && request.back() == '\n')
+            request.pop_back();
+    }
 
     ServeReply reply = serveRequest(socketPath, request);
     // Mirror run-matrix: payload on stdout (byte-stable), provenance
@@ -729,7 +739,7 @@ usage()
            "[--fail-mode abort|isolate]\n"
         << "                 [--max-workers N] [--faults SPEC]\n"
         << "       libra_cli serve-request --socket PATH "
-           "<request-json>\n";
+           "<request-json | ->\n";
 }
 
 } // namespace

@@ -178,6 +178,20 @@ if [[ -z "${MODE}" ]]; then
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"scenario": "golden", "emit": "json"}' \
     > "${SMOKE_DIR}/ssecond.json" 2> "${SMOKE_DIR}/ssecond.status"
+  # Hostile client: a 200,000-byte line of '[' must be answered with
+  # ok:false by the JSON depth limit, not crash the server, and ping
+  # must still answer afterwards (docs/ROBUSTNESS.md).
+  if head -c 200000 /dev/zero | tr '\0' '[' | \
+    "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
+    - > /dev/null 2> "${SMOKE_DIR}/sbomb.status"; then
+    echo "serve smoke: the nesting-bomb request was not refused" >&2
+    exit 1
+  fi
+  grep -q '"ok":false' "${SMOKE_DIR}/sbomb.status"
+  grep -q 'nesting deeper' "${SMOKE_DIR}/sbomb.status"
+  "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
+    '{"op": "ping"}' > /dev/null 2> "${SMOKE_DIR}/sping.status"
+  grep -q '"ok":true' "${SMOKE_DIR}/sping.status"
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
     '{"op": "stats"}' > "${SMOKE_DIR}/sstats.json" 2> /dev/null
   "${BUILD_DIR}/libra_cli" serve-request --socket "${SMOKE_DIR}/serve.sock" \
@@ -187,7 +201,7 @@ if [[ -z "${MODE}" ]]; then
   cmp "${SMOKE_DIR}/soneshot.json" "${SMOKE_DIR}/ssecond.json"
   grep -q '"computed":0,' "${SMOKE_DIR}/ssecond.status"
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
-  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served)"
+  echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served); nesting bomb refused, ping still answered"
 
   # Sharded smoke: run-matrix --workers forks worker processes and
   # merges their results through the cache; the matrix JSON must be
