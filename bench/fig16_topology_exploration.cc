@@ -4,7 +4,7 @@
  * speedup and perf-per-cost versus each network's own EqualBW baseline.
  *
  * The study is the registered "fig16" scenario (src/study/scenarios.cc);
- * all points run as one sharded runLibraSweep batch.
+ * all points run as one runLibraSweep batch.
  */
 
 #include "bench_util.hh"

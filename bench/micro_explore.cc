@@ -13,35 +13,11 @@
  * winners — at two thread counts, asserting bit-identical winner sets
  * and winning bandwidth configurations.
  *
- * A second section benchmarks scale-out sharding (docs/SHARDING.md):
- * the frontier-xl scenario (120 candidates, deliberately larger than
- * explore-frontier's 80) runs through the real libra_cli binary
- * single-process and with `--workers 2`, asserting the emitted matrix
- * JSON is byte-identical — which pins the Pareto winners — and
- * reporting both wall clocks. Speedup needs multiple cores; on a
- * single-core host the numbers simply document the protocol overhead.
- *
- * A third section does the same for *adaptive* exploration: frontier-xl
- * under `--explore prune`, whose screening and promotion rounds cross
- * the wire as eval frames on the warm worker pool instead of recipe
- * slot indices. It records both wall clocks, the detected core count,
- * and `shard_adaptive_byte_identical` — the acceptance flag that the
- * sharded adaptive run emits the single-process bytes.
- *
  * Emits machine-readable BENCH_explore.json for CI tracking next to
  * BENCH_objective/solver/backend.json. The acceptance contract:
  * `prune_matches_exhaustive_winner` true with
- * `prune_full_runs <= 0.5 * exhaustive_full_runs`,
- * `shard_byte_identical` true, and `shard_adaptive_byte_identical`
- * true (with >= 1.3x `shard_prune_speedup` expected on multi-core
- * hosts).
+ * `prune_full_runs <= 0.5 * exhaustive_full_runs`.
  */
-
-#include <chrono>
-#include <cstdlib>
-#include <filesystem>
-#include <sstream>
-#include <thread>
 
 #include "bench_util.hh"
 #include "common/json.hh"
@@ -93,164 +69,6 @@ winnerFingerprint(const ExploreResult& r)
                bwConfigToString(o.report.optimized.bw) + "; ";
     }
     return out;
-}
-
-/** Slurp one emitted file; "" when unreadable. */
-std::string
-slurpFile(const std::string& path)
-{
-    std::ifstream f(path);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-}
-
-/**
- * Scale-out section: frontier-xl through the real CLI, single-process
- * vs `--workers 2`, byte-identity asserted (it pins the Pareto
- * winners), wall clocks recorded into @p j.
- */
-void
-shardSection(Json* j)
-{
-#ifdef LIBRA_CLI_PATH
-    bench::banner("micro",
-                  "sharded frontier-xl (single-process vs --workers 2, "
-                  "byte-identity + wall clock)");
-
-    const std::string dir =
-        (std::filesystem::temp_directory_path() / "libra-bench-shard")
-            .string();
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    auto timedRun = [&](const std::string& extra,
-                        const std::string& out) -> double {
-        std::string cmd = std::string(LIBRA_CLI_PATH) +
-                          " run-matrix frontier-xl --emit json --out " +
-                          out + extra + " 2>/dev/null";
-        auto t0 = std::chrono::steady_clock::now();
-        int status = std::system(cmd.c_str());
-        auto t1 = std::chrono::steady_clock::now();
-        if (status != 0)
-            fatal("bench: '", cmd, "' failed");
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-
-    const std::string single = dir + "/single.json";
-    const std::string sharded = dir + "/workers2.json";
-    double singleSec = timedRun("", single);
-    double shardedSec = timedRun(" --workers 2", sharded);
-
-    const std::string singleBytes = slurpFile(single);
-    bool identical =
-        !singleBytes.empty() && singleBytes == slurpFile(sharded);
-    if (!identical)
-        fatal("bench: sharded frontier-xl output diverged from "
-              "single-process (sharding must be byte-transparent)");
-
-    Table t;
-    t.header({"Execution", "wall s", "output"});
-    t.row({"single-process", Table::num(singleSec, 2),
-           "reference"});
-    t.row({"--workers 2", Table::num(shardedSec, 2),
-           "byte-identical"});
-    t.print(std::cout);
-    std::cout << "sharded/single wall-clock ratio: "
-              << Table::num(shardedSec / singleSec, 2)
-              << " (speedup needs >1 core; identity is the "
-                 "contract)\n";
-
-    (*j)["shard_space"] = "frontier-xl";
-    (*j)["shard_single_seconds"] = singleSec;
-    (*j)["shard_workers2_seconds"] = shardedSec;
-    (*j)["shard_byte_identical"] = identical;
-
-    std::filesystem::remove_all(dir);
-#else
-    (void)j;
-    std::cout << "\n(sharded section skipped: built without "
-                 "LIBRA_CLI_PATH)\n";
-#endif
-}
-
-/**
- * Sharded adaptive exploration: frontier-xl under `--explore prune`,
- * single-process vs `--workers 2`. The prune rounds are synthesized
- * mid-search, so the pool serves them as eval frames (serialized wire
- * points) rather than recipe slot indices — this section pins that
- * path's byte-transparency and records its wall clocks. The speedup is
- * reported, not asserted: it needs >= 2 cores, so the detected core
- * count lands in the JSON next to it.
- */
-void
-shardPruneSection(Json* j)
-{
-#ifdef LIBRA_CLI_PATH
-    bench::banner("micro",
-                  "sharded adaptive prune on frontier-xl "
-                  "(single-process vs --workers 2 eval frames)");
-
-    const std::string dir = (std::filesystem::temp_directory_path() /
-                             "libra-bench-shard-prune")
-                                .string();
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    auto timedRun = [&](const std::string& extra,
-                        const std::string& out) -> double {
-        std::string cmd = std::string(LIBRA_CLI_PATH) +
-                          " run-matrix frontier-xl --explore prune "
-                          "--emit json --out " +
-                          out + extra + " 2>/dev/null";
-        auto t0 = std::chrono::steady_clock::now();
-        int status = std::system(cmd.c_str());
-        auto t1 = std::chrono::steady_clock::now();
-        if (status != 0)
-            fatal("bench: '", cmd, "' failed");
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-
-    const std::string single = dir + "/single.json";
-    const std::string sharded = dir + "/workers2.json";
-    double singleSec = timedRun("", single);
-    double shardedSec = timedRun(" --workers 2", sharded);
-
-    const std::string singleBytes = slurpFile(single);
-    bool identical =
-        !singleBytes.empty() && singleBytes == slurpFile(sharded);
-    if (!identical)
-        fatal("bench: sharded adaptive prune output diverged from "
-              "single-process (eval frames must be byte-transparent)");
-
-    const unsigned cores = std::thread::hardware_concurrency();
-    const double speedup =
-        shardedSec > 0.0 ? singleSec / shardedSec : 0.0;
-
-    Table t;
-    t.header({"Execution", "wall s", "output"});
-    t.row({"single-process prune", Table::num(singleSec, 2),
-           "reference"});
-    t.row({"--workers 2 prune", Table::num(shardedSec, 2),
-           "byte-identical"});
-    t.print(std::cout);
-    std::cout << "adaptive prune speedup: " << Table::num(speedup, 2)
-              << "x on " << cores
-              << " detected core(s) (>= 1.3x expected with 2+ "
-                 "cores; identity is the contract)\n";
-
-    (*j)["shard_prune_single_seconds"] = singleSec;
-    (*j)["shard_prune_workers2_seconds"] = shardedSec;
-    (*j)["shard_prune_speedup"] = speedup;
-    (*j)["detected_cores"] = static_cast<double>(cores);
-    (*j)["shard_adaptive_byte_identical"] = identical;
-
-    std::filesystem::remove_all(dir);
-#else
-    (void)j;
-    std::cout << "\n(sharded adaptive section skipped: built without "
-                 "LIBRA_CLI_PATH)\n";
-#endif
 }
 
 void
@@ -319,9 +137,6 @@ run()
     j["prune_thread_stable"] = threadStable;
     j["exhaustive_winners"] = winnerFingerprint(exhaustive.result);
     j["prune_winners"] = winnerFingerprint(prune.result);
-
-    shardSection(&j);
-    shardPruneSection(&j);
 
     bench::writeBenchJson("BENCH_explore.json", j);
     std::cout << "\nWrote BENCH_explore.json (prune reached the "

@@ -57,9 +57,15 @@ validateInputs(const LibraInputs& inputs)
     requireFinite(config.totalBw, "total BW");
     requireFinite(config.minDimBw, "per-dimension BW floor");
     requireFinite(config.budgetCap, "dollar cap");
-    for (const TargetWorkload& target : inputs.targets)
-        requireFinite(target.weight,
-                      "weight of workload '" + target.workload.name + "'");
+    for (const TargetWorkload& target : inputs.targets) {
+        const std::string what =
+            "weight of workload '" + target.workload.name + "'";
+        requireFinite(target.weight, what);
+        // A negative weight turns the minimization into maximizing
+        // that workload's time; zero (ignore the workload) is fine.
+        if (target.weight < 0.0)
+            fatal(what, " must be >= 0, got ", target.weight);
+    }
     for (PhysicalLevel level :
          {PhysicalLevel::Chiplet, PhysicalLevel::Package,
           PhysicalLevel::Node, PhysicalLevel::Pod}) {
@@ -105,12 +111,17 @@ runLibraSweep(const std::vector<LibraInputs>& points)
 }
 
 SweepOutcome
-runLibraSweepIsolated(const std::vector<LibraInputs>& points)
+runLibraSweepIsolated(const std::vector<LibraInputs>& points,
+                      const PointDoneFn& onDone)
 {
-    auto evalPoint = [](const LibraInputs& p, LibraReport* report,
-                        PointStatus* status) {
+    SweepOutcome out;
+    out.reports.resize(points.size());
+    out.status.resize(points.size());
+
+    auto evalPoint = [&](std::size_t i) {
+        PointStatus* status = &out.status[i];
         try {
-            *report = runLibraPoint(p);
+            out.reports[i] = runLibraPoint(points[i]);
         } catch (const FatalError& e) {
             status->ok = false;
             status->error = e.what();
@@ -121,11 +132,9 @@ runLibraSweepIsolated(const std::vector<LibraInputs>& points)
             if (status->error.rfind(prefix, 0) == 0)
                 status->error.erase(0, prefix.size());
         }
+        if (onDone)
+            onDone(i, *status, out.reports[i]);
     };
-
-    SweepOutcome out;
-    out.reports.resize(points.size());
-    out.status.resize(points.size());
 
     // Same guard optimize() applies within a point: ad-hoc
     // collective-timing functions are not guaranteed thread-safe, so
@@ -136,11 +145,9 @@ runLibraSweepIsolated(const std::vector<LibraInputs>& points)
         customTiming |= static_cast<bool>(p.config.estimator.commTimeFn);
     if (customTiming) {
         for (std::size_t i = 0; i < points.size(); ++i)
-            evalPoint(points[i], &out.reports[i], &out.status[i]);
+            evalPoint(i);
     } else {
-        parallelFor(points.size(), [&](std::size_t i) {
-            evalPoint(points[i], &out.reports[i], &out.status[i]);
-        });
+        parallelFor(points.size(), evalPoint);
     }
     for (const PointStatus& s : out.status)
         out.failed += s.ok ? 0 : 1;

@@ -11,6 +11,7 @@
 #ifndef LIBRA_CORE_FRAMEWORK_HH
 #define LIBRA_CORE_FRAMEWORK_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -66,10 +67,11 @@ struct LibraReport
  * Reject non-finite study values with FatalError: the BW budget and
  * per-dimension floor, the dollar cap, every target weight, every
  * cost-model price, and every parsed constraint coefficient and bound
- * (constraint text that fails to parse is a FatalError too). Finite
- * values all pass, so DOLLAR_CAP 0 still means "no cap". Every study
- * point — runLibra and both sweeps — is checked before any solver
- * runs, so NaN and inf never reach the objective.
+ * (constraint text that fails to parse is a FatalError too), plus
+ * negative target weights. Every other finite value passes, so
+ * DOLLAR_CAP 0 still means "no cap" and a zero weight is valid. Every
+ * study point — runLibra and both sweeps — is checked before any
+ * solver runs, so NaN and inf never reach the objective.
  */
 void validateInputs(const LibraInputs& inputs);
 
@@ -108,15 +110,30 @@ struct SweepOutcome
 };
 
 /**
+ * Per-point completion callback of runLibraSweepIsolated: the point's
+ * index, status, and report (default-valued unless status.ok). Runs on
+ * the thread that evaluated the point, concurrently with other points'
+ * callbacks, in completion order, not index order.
+ */
+using PointDoneFn = std::function<void(
+    std::size_t index, const PointStatus& status, const LibraReport& report)>;
+
+/**
  * runLibraSweep with per-point failure isolation: a point whose
  * evaluation throws FatalError (infeasible constraints, a malformed
  * workload) yields a failed PointStatus instead of unwinding the
  * batch, so one bad design point cannot kill a whole matrix run.
  * Internal invariant violations (panic) still abort. Ok points are
  * bit-identical to runLibraSweep's reports at any thread count.
+ *
+ * @p onDone, when set, sees each point as soon as it lands, so a
+ * caller can persist finished work while the batch is still running.
+ * An exception from @p onDone is rethrown once the sweep has joined;
+ * a point that had not reported by then never will.
  */
 SweepOutcome
-runLibraSweepIsolated(const std::vector<LibraInputs>& points);
+runLibraSweepIsolated(const std::vector<LibraInputs>& points,
+                      const PointDoneFn& onDone = {});
 
 } // namespace libra
 

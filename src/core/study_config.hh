@@ -73,8 +73,8 @@ std::string studyConfigToString(const LibraInputs& inputs);
 
 /**
  * True when @p inputs has a study-file form (studyConfigToString would
- * succeed). The shard layer uses this to decide whether a design point
- * can ship to a worker as an eval frame or must run in-process.
+ * succeed): the design point can be written out as a study file and
+ * reparsed into the same canonical study key.
  */
 bool studyConfigSerializable(const LibraInputs& inputs);
 

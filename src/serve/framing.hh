@@ -1,15 +1,13 @@
 /**
  * @file
- * Newline-JSON framing shared by the serve protocol and the sharded
- * matrix executor (docs/SERVE.md, docs/SHARDING.md).
+ * Newline-JSON framing of the serve protocol (docs/SERVE.md).
  *
  * One frame is a compact JSON status line terminated by '\n', followed
  * by exactly `status.bytes` raw payload bytes. The explicit byte count
  * (instead of line framing) is what lets a multi-line pretty-JSON
  * payload cross a line-oriented protocol untouched.
  *
- * Both consumers of incoming frames — the serve client and the shard
- * master — parse through FrameBuffer, so the `bytes` field is
+ * Incoming frames parse through FrameBuffer, so the `bytes` field is
  * validated in exactly one place: it must be a nonnegative integer no
  * larger than kMaxFramePayload, or the frame is rejected with a
  * FatalError. A corrupt or malicious peer can therefore never turn a

@@ -4,9 +4,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -155,7 +153,7 @@ Server::handleLine(const std::string& line, bool* shutdown)
             (void)value;
             if (key != "op" && key != "scenario" && key != "solver" &&
                 key != "backend" && key != "explore" && key != "emit" &&
-                key != "failMode" && key != "workers") {
+                key != "failMode") {
                 fatal("unknown request field '", key, "'");
             }
         }
@@ -227,25 +225,6 @@ Server::handleLine(const std::string& line, bool* shutdown)
                 options.failMode = FailMode::Isolate;
             else
                 fatal("'failMode' must be abort or isolate");
-        }
-        if (req.has("workers")) {
-            const Json& w = req.at("workers");
-            if (!w.isNumber())
-                fatal("'workers' must be a number");
-            double v = w.asNumber();
-            if (!(v >= 1.0 && v <= 256.0) || v != std::floor(v))
-                fatal("'workers' must be an integer in [1, 256]");
-            // Clamp to the server's cap; 1 (or a cap of 1) keeps the
-            // classic in-process sweep. Either way the response bytes
-            // are identical — sharding never changes emission.
-            std::size_t workers = std::min(
-                static_cast<std::size_t>(v), options_.maxWorkers);
-            if (workers > 1) {
-                if (options_.workerExe.empty())
-                    fatal("server has no worker executable configured");
-                options.workers = workers;
-                options.workerExe = options_.workerExe;
-            }
         }
 
         MatrixResult result = runScenarioMatrix(names, options);

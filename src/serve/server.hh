@@ -120,18 +120,6 @@ struct ServeOptions
 
     /** Default FailMode for requests without a "failMode" field. */
     FailMode failMode = FailMode::Abort;
-
-    /**
-     * Cap on the optional per-request "workers" field — the
-     * `--max-workers` flag. Requests asking for more are clamped; the
-     * default of 1 means requests never shard. Responses are
-     * byte-identical at any effective worker count (docs/SHARDING.md),
-     * so the cap is purely a resource-control knob.
-     */
-    std::size_t maxWorkers = 1;
-
-    /** Executable exec'd as `... worker` for sharded requests. */
-    std::string workerExe;
 };
 
 /**

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/fault.hh"
@@ -155,6 +156,31 @@ std::uint64_t
 studyCacheHash(const LibraInputs& inputs)
 {
     return studyCacheHashOfKey(canonicalStudyKey(inputs));
+}
+
+SlotMap
+buildSlotMap(const std::vector<LibraInputs>& points)
+{
+    SlotMap map;
+    map.slotOf.resize(points.size());
+    std::unordered_map<std::string, std::size_t> slotByKey;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!studyPointCacheable(points[i])) {
+            map.slotOf[i] = map.slotRep.size();
+            map.slotKey.emplace_back();
+            map.slotRep.push_back(i);
+            continue;
+        }
+        std::string key = canonicalStudyKey(points[i]);
+        auto [it, inserted] =
+            slotByKey.try_emplace(std::move(key), map.slotRep.size());
+        if (inserted) {
+            map.slotKey.push_back(it->first);
+            map.slotRep.push_back(i);
+        }
+        map.slotOf[i] = it->second;
+    }
+    return map;
 }
 
 namespace {

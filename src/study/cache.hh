@@ -52,6 +52,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 #include "core/framework.hh"
@@ -75,6 +76,25 @@ std::uint64_t studyCacheHashOfKey(const std::string& canonical);
 
 /** FNV-1a hash of the canonical key, salted with kStudyCacheVersion. */
 std::uint64_t studyCacheHash(const LibraInputs& inputs);
+
+/**
+ * Content-identity dedup of a point list: every point maps to a slot,
+ * equal canonical keys share one slot, and uncacheable points (custom
+ * commTimeFn — no content identity) get a private slot each. Identity
+ * is the full canonical text, so a 64-bit hash collision cannot merge
+ * distinct points.
+ */
+struct SlotMap
+{
+    std::vector<std::size_t> slotOf;  ///< Point -> slot.
+    std::vector<std::string> slotKey; ///< Canonical text; "" = private.
+    std::vector<std::size_t> slotRep; ///< Slot -> representative point.
+
+    std::size_t slots() const { return slotRep.size(); }
+};
+
+/** Deduplicate @p points by content; see SlotMap. */
+SlotMap buildSlotMap(const std::vector<LibraInputs>& points);
 
 /** Bit-exact JSON round-trip of a LibraReport. */
 Json reportToJson(const LibraReport& report);

@@ -4,19 +4,15 @@
 #include <iterator>
 #include <optional>
 #include <ostream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/fault.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "core/study_config.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "solver/strategy.hh"
 #include "study/cache.hh"
-#include "study/checkpoint.hh"
-#include "study/shard.hh"
 
 namespace libra {
 
@@ -33,51 +29,6 @@ struct SweepBatch
     std::size_t coalesced = 0;        ///< Points awaited from another
                                       ///< sweep's in-flight claim.
     std::size_t failed = 0;           ///< Points whose evaluation failed.
-};
-
-/**
- * The warm worker pool for one run-matrix invocation. Workers are
- * forked and handshaken at most once — on the first sweep with work to
- * dispatch — then reused by the shared batch and every adaptive
- * explore round, paying fork/exec/handshake once per run instead of
- * once per round (docs/SHARDING.md). The handshake expectation is the
- * *shared-batch* slot map (what workers rebuild from the recipe),
- * recorded by the phase-2 sweep before any dispatch.
- */
-struct ShardRuntime
-{
-    ShardOptions options;
-    std::size_t expectedSlots = 0;
-    std::string expectedFingerprint;
-    std::optional<ShardPool> pool;
-
-    ShardPool& ensurePool()
-    {
-        if (!pool)
-            pool.emplace(options, expectedSlots, expectedFingerprint);
-        return *pool;
-    }
-
-    void shutdown()
-    {
-        if (pool)
-            pool->shutdown();
-    }
-};
-
-/**
- * Execution add-ons for one cached sweep: a warm shard pool evaluates
- * the owned batch in worker processes (by slot index for the shared
- * batch, by serialized wire point for adaptive rounds), and a
- * checkpoint log records completed slots durably.
- */
-struct SweepContext
-{
-    ShardRuntime* shard = nullptr; ///< Null = in-process only.
-    bool shardByRecipe = false;    ///< Ship recipe slot indices
-                                   ///< (the phase-2 shared batch).
-    CheckpointLog* checkpoint = nullptr;
-    std::size_t checkpointChunk = 8;
 };
 
 /**
@@ -109,16 +60,15 @@ struct SweepContext
  * deterministically. Failed slots are never stored to the cache, but
  * their status is still published so waiters observe the same failure.
  *
- * Sharded execution (ctx.shard) changes only *where* owned slots are
- * evaluated, never what: fault injection runs here before dispatch,
- * results merge by slot index as they arrive (store + publish +
- * checkpoint per slot), and the final assembly below is index-ordered
- * — so emitted bytes are identical at any worker count.
+ * Resume: each computed slot is stored and published from the thread
+ * that evaluated it, as soon as it lands, so the cache doubles as the
+ * checkpoint — a killed run rerun over the same cache recomputes only
+ * the points that were in flight. Completion order cannot leak into
+ * output: the final assembly below is index-ordered.
  */
 SweepBatch
 cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
-            bool update_cache, FailMode failMode,
-            const SweepContext& ctx = {})
+            bool update_cache, FailMode failMode)
 {
     SlotMap map = buildSlotMap(points);
     const std::vector<std::size_t>& slotOf = map.slotOf;
@@ -138,23 +88,6 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         } else {
             missing.push_back(s);
         }
-    }
-
-    // A checkpointed slot is promised to be cache-servable (manifest
-    // entries are appended only after the store). Missing one means
-    // the cache was wiped or degraded underneath the manifest — a
-    // recompute costs work, never correctness.
-    if (ctx.checkpoint) {
-        std::size_t lost = 0;
-        for (std::size_t s : missing) {
-            if (!slotKey[s].empty() &&
-                ctx.checkpoint->contains(
-                    studyCacheHashOfKey(slotKey[s])))
-                ++lost;
-        }
-        if (lost > 0)
-            warn("checkpoint: ", lost, " recorded slots missing from "
-                 "the cache; recomputing them");
     }
 
     // Claim phase: ask the store who computes each missed key. Keys
@@ -181,7 +114,7 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         }
     }
 
-    // Compute phase: one sharded sweep over every owned point.
+    // Compute phase: one sweep over every owned point.
     // Injected point-eval faults replace the evaluation (keyed by
     // content, so the same points fail fresh or cached, at any thread
     // count); their failure is published like any other outcome.
@@ -202,140 +135,26 @@ cachedSweep(const std::vector<LibraInputs>& points, StudyStore* store,
         batch.push_back(points[slotRep[s]]);
         batchSlot.push_back(s);
     }
-    // Per-batch-slot completion flags: sharded results arrive in
-    // completion order, not index order, so a plain counter cannot
-    // tell resolved slots from abandoned ones in the unwind below.
+    // Per-batch-slot completion flags: results land in completion
+    // order, not index order, so a plain counter cannot tell resolved
+    // slots from abandoned ones in the unwind below.
     std::vector<char> done(batchSlot.size(), 0);
-    auto finishSlot = [&](std::size_t k, PointStatus status,
-                          LibraReport report) {
+    auto finishSlot = [&](std::size_t k, const PointStatus& status,
+                          const LibraReport& report) {
         const std::size_t s = batchSlot[k];
-        slotStatus[s] = std::move(status);
-        if (slotStatus[s].ok) {
-            slotReport[s] = std::move(report);
-            if (store && update_cache && !slotKey[s].empty()) {
-                const std::uint64_t hash =
-                    studyCacheHashOfKey(slotKey[s]);
-                store->store(hash, slotKey[s], slotReport[s]);
-                // Store first, then record: manifest ⊆ cache, so a
-                // recorded slot is always servable on resume.
-                if (ctx.checkpoint)
-                    ctx.checkpoint->append(hash);
-            }
+        slotStatus[s] = status;
+        if (status.ok) {
+            slotReport[s] = report;
+            if (store && update_cache && !slotKey[s].empty())
+                store->store(studyCacheHashOfKey(slotKey[s]), slotKey[s],
+                             report);
         }
         if (store && !slotKey[s].empty())
-            store->publishCompute(slotKey[s], slotStatus[s],
-                                  slotReport[s]);
+            store->publishCompute(slotKey[s], status, report);
         done[k] = 1;
     };
     try {
-        if (ctx.shard && ctx.shardByRecipe) {
-            // The shared batch defines the handshake: workers rebuild
-            // exactly this slot map from the recipe. Record it even
-            // when everything was cached — a later adaptive round may
-            // be the first to actually need the pool.
-            ctx.shard->expectedSlots = map.slots();
-            ctx.shard->expectedFingerprint = slotMapFingerprint(map);
-        }
-        if (ctx.shard && ctx.shardByRecipe && !batchSlot.empty()) {
-            // Sharded shared batch: ship slot indices to worker
-            // processes; merge each result as it lands. Workers
-            // rebuild the identical point list, so `batch` itself
-            // never crosses the wire.
-            std::unordered_map<std::size_t, std::size_t> batchIndex;
-            batchIndex.reserve(batchSlot.size());
-            for (std::size_t k = 0; k < batchSlot.size(); ++k)
-                batchIndex.emplace(batchSlot[k], k);
-            ctx.shard->ensurePool().evaluate(
-                batchSlot,
-                [&](std::size_t slot, PointStatus status,
-                    LibraReport report) {
-                    auto it = batchIndex.find(slot);
-                    if (it == batchIndex.end())
-                        fatal("shard: result for undispatched slot ",
-                              slot);
-                    finishSlot(it->second, std::move(status),
-                               std::move(report));
-                });
-        } else if (ctx.shard && !batchSlot.empty()) {
-            // Sharded adaptive round: no recipe describes these
-            // points, so each ships as its studyConfigToString wire
-            // form (an eval frame). The rare point without a wire
-            // form — custom commTimeFn, non-zoo workload — stays
-            // in-process; both legs merge through finishSlot, so
-            // store/publish/checkpoint semantics are identical.
-            std::vector<WirePoint> wire;
-            std::vector<std::size_t> local;
-            for (std::size_t k = 0; k < batchSlot.size(); ++k) {
-                if (studyConfigSerializable(batch[k])) {
-                    WirePoint wp;
-                    wp.index = k;
-                    wp.text = studyConfigToString(batch[k]);
-                    wp.key = pointWireKey(batch[k]);
-                    wire.push_back(std::move(wp));
-                } else {
-                    local.push_back(k);
-                }
-            }
-            if (!wire.empty()) {
-                ctx.shard->ensurePool().evaluatePoints(
-                    wire,
-                    [&](std::size_t k, PointStatus status,
-                        LibraReport report) {
-                        if (k >= batchSlot.size())
-                            fatal("shard: eval result for unknown "
-                                  "item ", k);
-                        finishSlot(k, std::move(status),
-                                   std::move(report));
-                    });
-            }
-            if (!local.empty()) {
-                const std::size_t chunkSize =
-                    ctx.checkpoint ? ctx.checkpointChunk
-                                   : local.size();
-                for (std::size_t base = 0; base < local.size();
-                     base += chunkSize) {
-                    const std::size_t count =
-                        std::min(chunkSize, local.size() - base);
-                    std::vector<LibraInputs> chunk;
-                    chunk.reserve(count);
-                    for (std::size_t j = 0; j < count; ++j)
-                        chunk.push_back(batch[local[base + j]]);
-                    SweepOutcome computed =
-                        runLibraSweepIsolated(chunk);
-                    for (std::size_t j = 0; j < count; ++j)
-                        finishSlot(local[base + j],
-                                   std::move(computed.status[j]),
-                                   std::move(computed.reports[j]));
-                }
-            }
-        } else if (ctx.checkpoint &&
-                   batchSlot.size() > ctx.checkpointChunk) {
-            // Checkpointed in-process run: compute in chunks so
-            // progress reaches the cache + manifest as it happens.
-            // Sub-batching cannot change results — evaluation is a
-            // pure function of each point (the property the
-            // content-addressed cache already relies on).
-            for (std::size_t base = 0; base < batchSlot.size();
-                 base += ctx.checkpointChunk) {
-                const std::size_t count = std::min(
-                    ctx.checkpointChunk, batchSlot.size() - base);
-                std::vector<LibraInputs> chunk(
-                    batch.begin() +
-                        static_cast<std::ptrdiff_t>(base),
-                    batch.begin() +
-                        static_cast<std::ptrdiff_t>(base + count));
-                SweepOutcome computed = runLibraSweepIsolated(chunk);
-                for (std::size_t j = 0; j < count; ++j)
-                    finishSlot(base + j,
-                               std::move(computed.status[j]),
-                               std::move(computed.reports[j]));
-            }
-        } else {
-            SweepOutcome computed = runLibraSweepIsolated(batch);
-            for (std::size_t k = 0; k < batchSlot.size(); ++k)
-                finishSlot(k, std::move(computed.status[k]),
-                           std::move(computed.reports[k]));
-        }
+        runLibraSweepIsolated(batch, finishSlot);
     } catch (...) {
         // An internal error is unwinding this sweep. Every owned claim
         // must still be resolved exactly once or waiters in other
@@ -413,9 +232,8 @@ struct MatrixPlan
 
 /**
  * Phase 1: resolve @p names, validate overrides, and build every
- * scenario's design points into one batch. Fully deterministic — the
- * property shard workers rely on to rebuild the master's batch from
- * nothing but the (names, options) recipe.
+ * scenario's design points into one batch. Fully deterministic: the
+ * same (names, options) always yields the same point list.
  *
  * Design-space scenarios expand through the explore layer: under the
  * exhaustive default their candidates join the shared batch
@@ -523,47 +341,9 @@ runScenarioMatrix(const std::vector<std::string>& names,
         store = &*localCache;
     }
 
-    // A checkpoint without a cache could record completions it can
-    // never serve back — reject the combination outright.
-    std::optional<CheckpointLog> checkpoint;
-    if (!options.checkpointPath.empty()) {
-        if (!store)
-            fatal("--checkpoint requires a result cache "
-                  "(--cache-dir): resume serves recorded slots from "
-                  "the cache");
-        checkpoint.emplace(options.checkpointPath);
-        if (checkpoint->resumedSlots() > 0)
-            inform("checkpoint: resuming from '",
-                   options.checkpointPath, "' (",
-                   checkpoint->resumedSlots(), " slots recorded)");
-    }
-
-    ShardRuntime shardRuntime;
-    const bool sharded = options.workers > 1;
-    if (sharded) {
-        if (options.workerExe.empty())
-            fatal("sharded execution (--workers > 1) needs the worker "
-                  "executable path");
-        shardRuntime.options.workers = options.workers;
-        shardRuntime.options.workerExe = options.workerExe;
-        shardRuntime.options.workerThreads = options.workerThreads;
-        shardRuntime.options.scenarios = names;
-        shardRuntime.options.solverPipeline = options.solverPipeline;
-        shardRuntime.options.timingBackend = options.timingBackend;
-        shardRuntime.options.exploreSpec = options.exploreSpec;
-    }
-    if (options.checkpointChunk == 0)
-        fatal("checkpoint chunk size must be >= 1");
-    SweepContext mainCtx;
-    mainCtx.shard = sharded ? &shardRuntime : nullptr;
-    mainCtx.shardByRecipe = true;
-    mainCtx.checkpoint = checkpoint ? &*checkpoint : nullptr;
-    mainCtx.checkpointChunk = options.checkpointChunk;
-
-    // Phase 2: the shared batch — dedup, cache, one sharded sweep.
-    SweepBatch main =
-        cachedSweep(points, store, options.updateCache,
-                    options.failMode, mainCtx);
+    // Phase 2: the shared batch — dedup, cache, one sweep.
+    SweepBatch main = cachedSweep(points, store, options.updateCache,
+                                  options.failMode);
 
     MatrixResult result;
     result.points = points.size();
@@ -591,17 +371,11 @@ runScenarioMatrix(const std::vector<std::string>& names,
             // failing point aborts this exploration (deterministic
             // lowest-index error), and under Isolate that error is
             // recorded instead of unwinding the matrix.
-            // Adaptive rounds reuse the warm worker pool: batches the
-            // recipe cannot describe ship as serialized wire points
-            // (eval frames), and completed slots still checkpoint
-            // mid-round.
-            SweepContext adaptiveCtx = mainCtx;
-            adaptiveCtx.shardByRecipe = false;
             ExploreSweepFn sweep =
-                [&, adaptiveCtx](const std::vector<LibraInputs>& batch) {
+                [&](const std::vector<LibraInputs>& batch) {
                     SweepBatch b =
                         cachedSweep(batch, store, options.updateCache,
-                                    FailMode::Abort, adaptiveCtx);
+                                    FailMode::Abort);
                     run.points += batch.size();
                     result.points += batch.size();
                     result.unique += b.unique;
@@ -684,7 +458,6 @@ runScenarioMatrix(const std::vector<std::string>& names,
         }
         result.scenarios.push_back(std::move(run));
     }
-    shardRuntime.shutdown();
     return result;
 }
 

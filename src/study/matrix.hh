@@ -1,7 +1,7 @@
 /**
  * @file
  * Scenario-matrix runner: execute any subset of registered scenarios as
- * one batched, cached, sharded study.
+ * one batched, cached study.
  *
  * The runner concatenates every selected scenario's design points,
  * deduplicates them by content hash (figures that share design points —
@@ -14,6 +14,10 @@
  * count, report JSON round-trips bit-exactly through the cache, and all
  * emission is insertion-ordered — so a matrix run emits byte-identical
  * JSON whether its points were computed or loaded from cache.
+ *
+ * Resume: every computed point reaches the cache as soon as it lands,
+ * so rerunning a killed matrix over the same cache recomputes only the
+ * points that were in flight.
  *
  * Fault tolerance (docs/ROBUSTNESS.md): under FailMode::Isolate a
  * design point whose evaluation throws FatalError becomes a recorded
@@ -91,47 +95,6 @@ struct MatrixOptions
 
     /** Failure handling for design-point evaluation (see FailMode). */
     FailMode failMode = FailMode::Abort;
-
-    /**
-     * Shard owned computation across this many forked worker
-     * processes — the `--workers` flag (docs/SHARDING.md). 0 or 1
-     * keeps the classic in-process sweep. The pool is warm: workers
-     * fork and handshake once per run, serve the shared batch by slot
-     * index, and serve adaptive (non-default EXPLORE) rounds as
-     * serialized wire points (eval frames). Results merge by index
-     * through the content-addressed cache, so emitted bytes are
-     * identical at any worker count. Points without a study-file wire
-     * form (custom commTimeFn, non-zoo workloads) stay in-process.
-     */
-    std::size_t workers = 0;
-
-    /**
-     * Executable exec'd as `<workerExe> worker` for sharded runs
-     * (normally libra_cli itself). Required when workers > 1.
-     */
-    std::string workerExe;
-
-    /** Threads per worker; 0 = hardware concurrency / workers. */
-    int workerThreads = 0;
-
-    /**
-     * Checkpoint manifest path — the `--checkpoint` flag. Every
-     * completed slot's content hash is appended (fsynced) after its
-     * report reaches the cache, so a killed run resumes without
-     * recomputing finished slots. Requires a cache (store or
-     * cacheDir); "" disables checkpointing.
-     */
-    std::string checkpointPath;
-
-    /**
-     * In-process sub-batch size when a checkpoint is armed — the
-     * `--checkpoint-chunk` flag. Completed slots must reach the cache
-     * + manifest incrementally, not after the whole batch, or a kill
-     * loses everything; smaller chunks checkpoint (and fsync) more
-     * often, larger ones batch better. Chunking cannot change results
-     * — evaluation is a pure function of each point. Must be >= 1.
-     */
-    std::size_t checkpointChunk = 8;
 };
 
 /** One failed design point inside a scenario (FailMode::Isolate). */
@@ -184,9 +147,9 @@ MatrixResult runScenarioMatrix(const std::vector<std::string>& names,
  * Build the matrix's phase-1 shared batch: every selected scenario's
  * design points (exhaustive design spaces expanded through the explore
  * layer) with @p options' solver/backend/explore overrides applied, in
- * scenario order. Deterministic — shard workers call this with the
- * master's recipe to rebuild the identical point list, so the master
- * only ever ships slot indices (src/study/shard.hh).
+ * scenario order. Deterministic: the same names and options always
+ * yield the same point list, so benches can rebuild exactly the batch
+ * a matrix run evaluates.
  * @throws FatalError on an unknown scenario name or invalid override.
  */
 std::vector<LibraInputs>

@@ -936,9 +936,8 @@ frontierScenario()
  * frontier-xl: the same study scaled past what one process frontier
  * sweep should have to shoulder — two extra topology compositions and
  * a sixth budget rung, 120 candidates against explore-frontier's 80.
- * The bench harness runs it single-process vs `--workers N` to
- * demonstrate wall-clock scaling at byte-identical output
- * (docs/SHARDING.md); the Pareto winners must not move.
+ * It is the largest cold sweep in the registry, so it measures
+ * thread-pool scaling; the Pareto winners must not move.
  */
 DesignSpace
 frontierXlSpace()

@@ -3,17 +3,25 @@
  * Fault-tolerance tests: the deterministic fault injector, the
  * self-healing ResultCache under adversarial on-disk entries
  * (truncated, bit-flipped, checksum-mismatched, version-skewed,
- * hash-colliding, legacy), stale tmp reaping, and per-point failure
- * isolation through runLibraSweepIsolated and the scenario matrix.
+ * hash-colliding, legacy), stale tmp reaping, per-point failure
+ * isolation through runLibraSweepIsolated and the scenario matrix, and
+ * resuming a SIGKILLed libra_cli run from the cache alone.
  * See docs/ROBUSTNESS.md.
  */
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -696,6 +704,119 @@ TEST(MatrixCsv, FailureRowsCarryTheirOwnHeader)
     emitMatrixCsv(ok, okOs);
     EXPECT_EQ(okOs.str().find("failure"), std::string::npos);
 }
+
+// --- Resume after kill -9, with the cache as the only checkpoint ------
+
+#ifdef LIBRA_CLI_PATH
+
+/** Run `libra_cli run-matrix <args>`; returns the exit code. */
+int
+runCli(const std::string& args, const std::string& stderrPath)
+{
+    std::string cmd = std::string(LIBRA_CLI_PATH) + " run-matrix " +
+                      args + " 2>" + stderrPath;
+    int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/** Published cache entries (`<hash>.json`; tmp files excluded). */
+std::size_t
+cacheEntries(const std::string& dir)
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+        const std::string name = e.path().filename().string();
+        n += name.size() > 5 &&
+             name.compare(name.size() - 5, 5, ".json") == 0;
+    }
+    return n;
+}
+
+TEST(CacheResume, KilledRunResumesFromTheCacheAlone)
+{
+    // The static batch and an adaptive prune exploration: every point
+    // either leg finishes is stored as it lands, so SIGKILL loses at
+    // most the points in flight.
+    const std::vector<std::vector<std::string>> inputs = {
+        {"explore-frontier"},
+        {"explore-frontier", "--explore", "prune"},
+    };
+    for (const auto& input : inputs) {
+        std::string args;
+        for (const auto& a : input)
+            args += a + " ";
+        SCOPED_TRACE(args);
+        const std::string dir = freshDir("libra-cache-resume");
+        std::filesystem::create_directories(dir);
+        const std::string cache = dir + "/cache";
+
+        const std::string ref = dir + "/ref.json";
+        ASSERT_EQ(runCli(args + "--emit json --out " + ref, "/dev/null"),
+                  0);
+        const std::string expected = readFile(ref);
+        ASSERT_FALSE(expected.empty());
+
+        // Start a cached run and SIGKILL it once the cache holds real
+        // progress — no cooperation from the victim.
+        std::vector<std::string> argv = {LIBRA_CLI_PATH, "run-matrix"};
+        argv.insert(argv.end(), input.begin(), input.end());
+        for (const char* a : {"--cache-dir", cache.c_str(), "--emit",
+                              "json", "--out", "/dev/null"})
+            argv.push_back(a);
+        std::vector<char*> cargv;
+        for (auto& a : argv)
+            cargv.push_back(a.data());
+        cargv.push_back(nullptr);
+        pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::execv(LIBRA_CLI_PATH, cargv.data());
+            _exit(127);
+        }
+        const auto deadline = std::chrono::steady_clock::now() +
+                              std::chrono::seconds(120);
+        while (std::chrono::steady_clock::now() < deadline &&
+               cacheEntries(cache) < 1) {
+            int status = 0;
+            if (::waitpid(pid, &status, WNOHANG) == pid) {
+                pid = -1; // Finished before the poll saw an entry:
+                          // the rerun must still be exact.
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        if (pid > 0) {
+            ::kill(pid, SIGKILL);
+            int status = 0;
+            ::waitpid(pid, &status, 0);
+        }
+        const std::size_t atKill = cacheEntries(cache);
+        ASSERT_GE(atKill, 1u);
+
+        // The rerun over the same cache completes byte-identically and
+        // serves every entry that survived the kill from the cache.
+        const std::string out = dir + "/resumed.json";
+        const std::string err = dir + "/resumed.err";
+        ASSERT_EQ(runCli(args + "--cache-dir " + cache +
+                             " --emit json --out " + out,
+                         err),
+                  0);
+        EXPECT_EQ(readFile(out), expected);
+
+        // "matrix: ... (N unique, M from cache, K computed)".
+        const std::string provenance = readFile(err);
+        const std::string tag = " unique, ";
+        auto pos = provenance.find(tag);
+        ASSERT_NE(pos, std::string::npos) << provenance;
+        const std::size_t fromCache = std::strtoull(
+            provenance.c_str() + pos + tag.size(), nullptr, 10);
+        EXPECT_GE(fromCache, atKill) << provenance;
+        std::filesystem::remove_all(dir);
+    }
+}
+
+#endif // LIBRA_CLI_PATH
 
 } // namespace
 } // namespace libra

@@ -485,11 +485,20 @@ TEST(Serve, RequestErrorsAreIsolatedFromTheServer)
                   "unknown request field"),
               std::string::npos);
 
-    // The server survived all three and still answers correctly.
+    // "workers" is no field of the protocol: in-process threads are
+    // the only executor, so it is rejected like any other typo.
+    ServeReply workers = serveRequest(
+        socket, "{\"scenario\": \"tbl1\", \"workers\": 2}");
+    EXPECT_FALSE(workers.status.at("ok").asBool());
+    EXPECT_NE(workers.status.at("error").asString().find(
+                  "unknown request field 'workers'"),
+              std::string::npos);
+
+    // The server survived all four and still answers correctly.
     ServeReply ok = serveRequest(socket, "{\"scenario\": \"tbl1\"}");
     EXPECT_TRUE(ok.status.at("ok").asBool());
     EXPECT_EQ(ok.payload, oneShotJson("tbl1"));
-    EXPECT_EQ(server.stats().errors, 3u);
+    EXPECT_EQ(server.stats().errors, 4u);
 
     server.stop();
 }
@@ -652,99 +661,6 @@ TEST(Serve, StatsExposeTheLruByteBudget)
               std::string::npos);
     EXPECT_NE(stats.find("\"lruBytes\": "), std::string::npos);
 }
-
-/** Split a framed handleLine response into (status, payload). */
-ServeReply
-splitResponse(const std::string& response)
-{
-    const auto nl = response.find('\n');
-    ServeReply reply;
-    reply.status = Json::parse(response.substr(0, nl));
-    reply.payload = response.substr(nl + 1);
-    return reply;
-}
-
-TEST(Serve, WorkersFieldIsValidatedAndClampedByMaxWorkers)
-{
-    const std::string scenario = serveScenarioName();
-    const std::string expected = oneShotJson(scenario);
-
-    // maxWorkers defaults to 1: any requested count clamps to the
-    // classic in-process path, so no worker executable is needed and
-    // the payload cannot change.
-    ServeOptions options;
-    options.socketPath = testing::TempDir() + "libra-serve-h.sock";
-    Server server(std::move(options)); // handleLine needs no socket.
-    bool shutdown = false;
-
-    const std::string base =
-        "\"scenario\": \"" + scenario + "\", \"emit\": \"json\"";
-    ServeReply clamped = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 64}", &shutdown));
-    ASSERT_TRUE(clamped.status.at("ok").asBool())
-        << clamped.status.dump();
-    EXPECT_EQ(clamped.payload, expected);
-
-    // Malformed counts are per-request errors, never server deaths.
-    for (const char* bad :
-         {"0", "-2", "2.5", "257", "\"2\"", "true"}) {
-        ServeReply reply = splitResponse(server.handleLine(
-            "{" + base + ", \"workers\": " + bad + "}", &shutdown));
-        EXPECT_FALSE(reply.status.at("ok").asBool()) << bad;
-    }
-    ServeReply after = splitResponse(
-        server.handleLine("{" + base + "}", &shutdown));
-    ASSERT_TRUE(after.status.at("ok").asBool());
-    EXPECT_EQ(after.payload, expected);
-
-    // A cap above 1 without a configured worker executable surfaces
-    // as a request error the moment sharding is actually asked for.
-    ServeOptions uncfg;
-    uncfg.socketPath = testing::TempDir() + "libra-serve-i.sock";
-    uncfg.maxWorkers = 4;
-    Server unconfigured(std::move(uncfg));
-    ServeReply reply = splitResponse(unconfigured.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    EXPECT_FALSE(reply.status.at("ok").asBool());
-    EXPECT_NE(reply.status.at("error").asString().find("worker"),
-              std::string::npos)
-        << reply.status.dump();
-}
-
-#ifdef LIBRA_CLI_PATH
-
-TEST(Serve, ShardedRequestsStayByteIdenticalToOneShot)
-{
-    // A registry scenario (not the locally registered test scenario —
-    // forked workers rebuild the batch from the registry by name).
-    const std::string scenario = "explore-frontier";
-    const std::string expected = oneShotJson(scenario);
-
-    ServeOptions options;
-    options.socketPath = testing::TempDir() + "libra-serve-j.sock";
-    options.maxWorkers = 2;
-    options.workerExe = LIBRA_CLI_PATH;
-    Server server(std::move(options));
-    bool shutdown = false;
-
-    const std::string base =
-        "\"scenario\": \"" + scenario + "\", \"emit\": \"json\"";
-    ServeReply sharded = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    ASSERT_TRUE(sharded.status.at("ok").asBool())
-        << sharded.status.dump();
-    EXPECT_EQ(sharded.payload, expected);
-
-    // The second sharded request is served from the store: the pool
-    // never spawns when nothing needs computing.
-    ServeReply cached = splitResponse(server.handleLine(
-        "{" + base + ", \"workers\": 2}", &shutdown));
-    ASSERT_TRUE(cached.status.at("ok").asBool());
-    EXPECT_EQ(cached.status.at("computed").asNumber(), 0.0);
-    EXPECT_EQ(cached.payload, expected);
-}
-
-#endif // LIBRA_CLI_PATH
 
 TEST(Serve, ProtocolOpsWorkWithoutASocket)
 {

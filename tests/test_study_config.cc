@@ -130,7 +130,7 @@ STARTS 2
  * Non-finite study values parse (strtod accepts nan/inf) but are
  * rejected with FatalError at the runLibra seam. They used to crash
  * the solver (TOTAL_BW nan, WEIGHT nan) or run silently (DOLLAR_CAP
- * nan).
+ * nan). A negative weight is finite but rejected at the same seam.
  */
 TEST(StudyConfig, NonFiniteValuesAreFatalAtTheRunLibraSeam)
 {
@@ -146,6 +146,9 @@ TEST(StudyConfig, NonFiniteValuesAreFatalAtTheRunLibraSeam)
         {"TOTAL_BW -inf\nWORKLOAD gpt3\n", "total BW must be finite"},
         {"WORKLOAD gpt3 WEIGHT nan\n", "weight of workload"},
         {"WORKLOAD gpt3 WEIGHT inf\n", "weight of workload"},
+        // Finite but negative: the optimizer would maximize this
+        // workload's time.
+        {"WORKLOAD gpt3 WEIGHT -1\n", "must be >= 0, got -1"},
         {"DOLLAR_CAP nan\nWORKLOAD gpt3\n", "dollar cap must be finite"},
         {"DOLLAR_CAP inf\nWORKLOAD gpt3\n", "dollar cap must be finite"},
         {"COST Pod LINK nan\nWORKLOAD gpt3\n", "Pod link cost"},

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the scenario-matrix study engine: the JSON round-trip
- * layer, content-addressed cache keys, batch dedup, cache hit/miss
- * behavior, and the determinism contract that a cached re-run emits
- * byte-identical output.
+ * layer, content-addressed cache keys, slot-map and batch dedup,
+ * cache hit/miss behavior, and the determinism contract that a cached
+ * re-run emits byte-identical output.
  */
 
 #include <cstdio>
@@ -216,6 +216,31 @@ TEST(StudyCacheKey, CustomTimingModelIsNotCacheable)
            const BwConfig&, bool) { return CollectiveTiming{}; };
     EXPECT_FALSE(studyPointCacheable(fn));
     EXPECT_THROW(canonicalStudyKey(fn), FatalError);
+}
+
+TEST(SlotMap, DedupsByContentAndGivesUncacheablePointsPrivateSlots)
+{
+    std::vector<LibraInputs> points;
+    points.push_back(miniInputs());
+    points.push_back(miniInputs("SEED 5\n"));
+    points.push_back(miniInputs()); // Content-equal to points[0].
+    LibraInputs custom = miniInputs();
+    custom.config.estimator.commTimeFn =
+        [](CollectiveType, Bytes, const std::vector<DimSpan>&,
+           const BwConfig&, bool) { return CollectiveTiming{}; };
+    points.push_back(custom); // No content identity: private slot.
+    points.push_back(custom); // ...and a second private slot.
+
+    SlotMap map = buildSlotMap(points);
+    ASSERT_EQ(map.slotOf.size(), 5u);
+    EXPECT_EQ(map.slots(), 4u);
+    EXPECT_EQ(map.slotOf[0], map.slotOf[2]);
+    EXPECT_NE(map.slotOf[0], map.slotOf[1]);
+    EXPECT_NE(map.slotOf[3], map.slotOf[4]); // Privates never merge.
+    EXPECT_TRUE(map.slotKey[map.slotOf[3]].empty());
+    EXPECT_EQ(map.slotKey[map.slotOf[0]],
+              canonicalStudyKey(points[0]));
+    EXPECT_EQ(map.slotRep[map.slotOf[2]], 0u);
 }
 
 // --- Report serialization ----------------------------------------------

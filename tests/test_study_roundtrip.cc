@@ -5,6 +5,7 @@
  * LibraInputs back to text and reparsing must reproduce the inputs
  * exactly (parse ∘ serialize ∘ parse == parse), and the serializer
  * must be a fixpoint (serialize ∘ parse ∘ serialize == serialize).
+ * The canonical cache key survives the round trip too.
  *
  * WORKLOAD_FILE is the one deliberately unserializable directive — a
  * file-loaded workload has no study-file name — and is pinned as such.
@@ -14,6 +15,7 @@
 
 #include "common/logging.hh"
 #include "core/study_config.hh"
+#include "study/cache.hh"
 
 namespace libra {
 namespace {
@@ -57,8 +59,7 @@ const char* kCorpus[] = {
     "SEED 7\n"
     "STARTS 5\n"
     "WORKLOAD msft1t\n",
-    // Per-start eval budget (what prune's screening rounds set; the
-    // wire form of a screened point depends on this round-tripping).
+    // Per-start eval budget (what prune's screening rounds set).
     "NETWORK RI(4)_SW(8)\n"
     "MAX_EVALS 240\n"
     "WORKLOAD resnet50\n",
@@ -136,6 +137,75 @@ TEST(StudyRoundTrip, ParseSerializeParseIsIdentity)
         std::string serialized = studyConfigToString(first);
         LibraInputs second = parseStudyConfigString(serialized);
         EXPECT_TRUE(studyInputsEqual(first, second)) << serialized;
+    }
+}
+
+/**
+ * Studies in normal form (one space after each keyword), weighted
+ * toward the knobs adaptive exploration perturbs: SEED, STARTS,
+ * MAX_EVALS, SOLVER, and EXPLORE.
+ */
+const char* kKeyCorpus[] = {
+    "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n",
+    "NETWORK RI(16)_FC(8)_SW(32)\n"
+    "TOTAL_BW 400\n"
+    "OBJECTIVE PERF_PER_COST\n"
+    "LOOP TP_DP_OVERLAP\n"
+    "WORKLOAD gpt3\n",
+    "NETWORK RI(4)_FC(8)_RI(4)_SW(32)\n"
+    "TOTAL_BW 500\n"
+    "CONSTRAINT B4 <= 50\n"
+    "CONSTRAINT B1 >= B2\n"
+    "WORKLOAD turing-nlg\n",
+    "NETWORK RI(16)_FC(8)_SW(32)\n"
+    "WORKLOAD gpt3 WEIGHT 2.5\n"
+    "WORKLOAD msft1t WEIGHT 0.125\n"
+    "WORKLOAD dlrm\n"
+    "NORMALIZE_WEIGHTS\n",
+    "NETWORK FC(8)_RI(16)_SW(8)\n"
+    "IN_NETWORK\n"
+    "SEED 7\n"
+    "STARTS 5\n"
+    "WORKLOAD msft1t\n",
+    // The prune-screening shape: tightened budget, single start.
+    "NETWORK RI(4)_SW(8)\n"
+    "STARTS 1\n"
+    "MAX_EVALS 120\n"
+    "SOLVER cmaes\n"
+    "WORKLOAD resnet50\n",
+    "NETWORK RI(4)_SW(8)\n"
+    "MAX_EVALS 240\n"
+    "EXPLORE prune,keep=0.25\n"
+    "WORKLOAD resnet50\n",
+    "NETWORK RI(4)_SW(4)_SW(8)_SW(16)\n"
+    "TOTAL_BW 800\n"
+    "DOLLAR_CAP 1.5e7\n"
+    "THREADS 8\n"
+    "WORKLOAD msft1t WEIGHT 1.0\n",
+    "NETWORK RI(4)_SW(8)\n"
+    "SOLVER cmaes\n"
+    "SOLVER de\n"
+    "WORKLOAD resnet50\n",
+    "NETWORK RI(4)_SW(8)\n"
+    "BACKEND analytical\n"
+    "SEED 1234567\n"
+    "WORKLOAD dlrm\n",
+};
+
+/**
+ * The property the result cache rests on: a study's text form reparses
+ * to the identical canonical key, so a point written out as a study
+ * file and rerun lands on the cache entry of the original.
+ */
+TEST(StudyRoundTrip, RoundTripPreservesCanonicalKey)
+{
+    for (const char* text : kKeyCorpus) {
+        SCOPED_TRACE(text);
+        LibraInputs parsed = parseStudyConfigString(text);
+        ASSERT_TRUE(studyConfigSerializable(parsed));
+        LibraInputs reparsed =
+            parseStudyConfigString(studyConfigToString(parsed));
+        EXPECT_EQ(canonicalStudyKey(parsed), canonicalStudyKey(reparsed));
     }
 }
 

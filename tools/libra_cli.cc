@@ -45,20 +45,6 @@
  *                      --faults cache-load-read=0.25,seed=7 (the
  *                      LIBRA_FAULTS environment variable is the
  *                      fallback; the flag wins)
- *   --workers N        shard the shared batch's owned computation
- *                      across N forked worker processes
- *                      (docs/SHARDING.md); emitted bytes are identical
- *                      at any worker count. 1 = classic in-process
- *   --worker-threads N solver threads per worker (default: hardware
- *                      concurrency / workers)
- *   --checkpoint FILE  append every completed design point's content
- *                      hash to FILE (fsynced), so a killed run resumes
- *                      without recomputing finished points; requires
- *                      --cache-dir
- *   --checkpoint-chunk N  in-process sub-batch size for checkpointed
- *                      runs (default 8): smaller chunks fsync progress
- *                      more often, larger ones batch better; requires
- *                      --checkpoint
  *   --update-golden    rewrite the golden-figure files for the golden
  *                      scenarios included in this run
  *   --golden-dir DIR   golden file directory (default: tests/golden)
@@ -78,15 +64,16 @@
  *                      evicts)
  *   --threads N        size the shared evaluation pool
  *   --fail-mode MODE   default failMode for requests that set none
- *   --max-workers N    cap on the optional per-request "workers" field
- *                      (default 1 = requests never shard; requests
- *                      asking for more are clamped)
  *   --faults SPEC      arm the fault injector (tests, CI)
  *
  * serve-request sends one request line to a running server, writes the
  * payload to stdout and the status line to stderr (exit 0 ok, 1 error,
  * 3 ok-with-failed-points — mirroring run-matrix). A request of `-`
  * reads the line from stdin.
+ *
+ * A killed run resumes by rerunning it over the same --cache-dir: every
+ * design point is stored as soon as it finishes, so only the points in
+ * flight at the kill are recomputed (docs/ROBUSTNESS.md).
  *
  * Exit codes: 0 success; 1 user error (bad configuration, FatalError);
  * 2 internal error; 3 partial failure (an isolate-mode matrix run that
@@ -100,8 +87,6 @@
  * engine. Results are bit-identical at any thread count, and matrix
  * JSON is byte-identical whether points were computed or cached.
  */
-
-#include <unistd.h>
 
 #include <cstdlib>
 #include <fstream>
@@ -122,7 +107,6 @@
 #include "serve/server.hh"
 #include "solver/strategy.hh"
 #include "study/matrix.hh"
-#include "study/shard.hh"
 
 namespace {
 
@@ -384,30 +368,7 @@ struct MatrixCliOptions
     std::string goldenDir = "tests/golden";
     int threads = 0;
     libra::FailMode failMode = libra::FailMode::Abort;
-    std::size_t workers = 0;    // 0/1 = classic in-process sweep.
-    int workerThreads = 0;      // 0 = hardware concurrency / workers.
-    std::string checkpointPath; // "" = no checkpoint manifest.
-    std::size_t checkpointChunk = 8;
-    bool checkpointChunkSet = false;
-    std::string workerExe;      // Resolved self path (sharded runs).
 };
-
-/**
- * The executable to exec as `... worker` for sharded runs: this very
- * binary, resolved through /proc/self/exe so it survives argv[0] being
- * a bare name or a PATH lookup. Falls back to argv[0].
- */
-std::string
-selfExecutable(const char* argv0)
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
 
 int
 runMatrixCommand(const MatrixCliOptions& cli)
@@ -445,14 +406,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
         return 1;
     }
 
-    // A chunk size without a checkpoint would silently do nothing —
-    // chunking only exists to pace manifest/cache appends.
-    if (cli.checkpointChunkSet && cli.checkpointPath.empty()) {
-        std::cerr << "libra_cli: --checkpoint-chunk requires "
-                     "--checkpoint\n";
-        return 1;
-    }
-
     if (cli.threads > 0)
         ThreadPool::setGlobalThreads(
             static_cast<std::size_t>(cli.threads));
@@ -464,11 +417,6 @@ runMatrixCommand(const MatrixCliOptions& cli)
     options.timingBackend = cli.backend;
     options.exploreSpec = cli.explore;
     options.failMode = cli.failMode;
-    options.workers = cli.workers;
-    options.workerExe = cli.workerExe;
-    options.workerThreads = cli.workerThreads;
-    options.checkpointPath = cli.checkpointPath;
-    options.checkpointChunk = cli.checkpointChunk;
     MatrixResult result = runScenarioMatrix(names, options);
 
     std::ofstream outFile;
@@ -544,13 +492,11 @@ runMatrixCommand(const MatrixCliOptions& cli)
 }
 
 int
-runServeCommand(const std::vector<std::string>& args,
-                const std::string& workerExe)
+runServeCommand(const std::vector<std::string>& args)
 {
     using namespace libra;
 
     ServeOptions options;
-    options.workerExe = workerExe;
     int threads = 0;
     for (std::size_t i = 1; i < args.size(); ++i) {
         const std::string& arg = args[i];
@@ -608,17 +554,6 @@ runServeCommand(const std::vector<std::string>& args,
                              "isolate\n";
                 return 1;
             }
-        } else if (arg == "--max-workers") {
-            std::string text = value("a worker cap");
-            char* end = nullptr;
-            long v = std::strtol(text.c_str(), &end, 10);
-            if (end == text.c_str() || *end != '\0' || v < 1 ||
-                v > 256) {
-                std::cerr << "libra_cli: bad --max-workers cap '"
-                          << text << "' (expected 1..256)\n";
-                return 1;
-            }
-            options.maxWorkers = static_cast<std::size_t>(v);
         } else if (arg == "--faults") {
             installFaults(parseFaultSpec(value("a fault spec")));
         } else {
@@ -729,15 +664,12 @@ usage()
            "[--explore SPEC]\n"
         << "                 [--fail-mode abort|isolate] "
            "[--faults SPEC]\n"
-        << "                 [--workers N] [--worker-threads N] "
-           "[--checkpoint FILE]\n"
-        << "                 [--checkpoint-chunk N] "
-           "[--update-golden] [--golden-dir DIR]\n"
+        << "                 [--update-golden] [--golden-dir DIR]\n"
         << "       libra_cli serve --socket PATH [--cache-dir DIR] "
            "[--lru N]\n"
         << "                 [--lru-bytes N] [--threads N] "
            "[--fail-mode abort|isolate]\n"
-        << "                 [--max-workers N] [--faults SPEC]\n"
+        << "                 [--faults SPEC]\n"
         << "       libra_cli serve-request --socket PATH "
            "<request-json | ->\n";
 }
@@ -748,14 +680,6 @@ int
 main(int argc, char** argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-
-    // Hidden shard-worker mode (docs/SHARDING.md): speak the frame
-    // protocol on stdin/stdout until exit/EOF. Dispatched before the
-    // LIBRA_FAULTS env arming on purpose — the master injects faults
-    // before dispatch, so workers must stay injector-free or content-
-    // keyed faults would fire twice.
-    if (!args.empty() && args[0] == "worker")
-        return libra::runShardWorker();
 
     if (!args.empty() && args[0] == "--example") {
         std::cout << kTemplate;
@@ -806,7 +730,6 @@ main(int argc, char** argv)
         }
         if (!args.empty() && args[0] == "run-matrix") {
             MatrixCliOptions cli;
-            cli.workerExe = selfExecutable(argv[0]);
             for (std::size_t i = 1; i < args.size(); ++i) {
                 const std::string& arg = args[i];
                 auto value = [&](const char* what) -> std::string {
@@ -858,38 +781,6 @@ main(int argc, char** argv)
                         parseThreads(value("a count").c_str());
                     if (cli.threads < 0)
                         return 1;
-                } else if (arg == "--workers") {
-                    std::string text = value("a worker count");
-                    char* end = nullptr;
-                    long v = std::strtol(text.c_str(), &end, 10);
-                    if (end == text.c_str() || *end != '\0' || v < 1 ||
-                        v > 256) {
-                        std::cerr << "libra_cli: bad --workers count '"
-                                  << text << "' (expected 1..256)\n";
-                        return 1;
-                    }
-                    cli.workers = static_cast<std::size_t>(v);
-                } else if (arg == "--worker-threads") {
-                    cli.workerThreads =
-                        parseThreads(value("a count").c_str());
-                    if (cli.workerThreads < 0)
-                        return 1;
-                } else if (arg == "--checkpoint") {
-                    cli.checkpointPath = value("a manifest path");
-                } else if (arg == "--checkpoint-chunk") {
-                    std::string text = value("a chunk size");
-                    char* end = nullptr;
-                    long v = std::strtol(text.c_str(), &end, 10);
-                    if (end == text.c_str() || *end != '\0' ||
-                        v < 1 || v > 4096) {
-                        std::cerr << "libra_cli: bad "
-                                     "--checkpoint-chunk size '"
-                                  << text << "' (expected 1..4096)\n";
-                        return 1;
-                    }
-                    cli.checkpointChunk =
-                        static_cast<std::size_t>(v);
-                    cli.checkpointChunkSet = true;
                 } else if (!arg.empty() && arg[0] == '-') {
                     std::cerr << "libra_cli: unknown run-matrix flag '"
                               << arg << "'\n";
@@ -901,7 +792,7 @@ main(int argc, char** argv)
             return runMatrixCommand(cli);
         }
         if (!args.empty() && args[0] == "serve")
-            return runServeCommand(args, selfExecutable(argv[0]));
+            return runServeCommand(args);
         if (!args.empty() && args[0] == "serve-request")
             return runServeRequestCommand(args);
 

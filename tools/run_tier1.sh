@@ -3,21 +3,26 @@
 #
 # Usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [extra cmake args...]
 #
-#   (default)  Release build in build/, full ctest suite, plus three
-#              CLI smoke runs: the crossval scenario (the chunk-sim
-#              timing backend end to end), the explore-frontier
-#              scenario under --explore prune (the design-space
-#              exploration layer end to end) — each asserting
-#              byte-identical matrix JSON at different thread counts,
-#              cached and fresh — a fault-injection smoke that
-#              re-runs the golden matrix with injected cache-I/O
-#              faults and asserts the JSON is byte-identical to the
-#              fault-free cached run (docs/ROBUSTNESS.md), a SIMD
-#              smoke that rebuilds the CLI with LIBRA_SIMD=off and
-#              asserts the golden matrix JSON is byte-identical to
-#              the default build's (docs/PERF.md), and an objective
-#              bench smoke asserting BENCH_objective.json emits the
-#              tracked speedup metrics.
+#   (default)  Release build in build/, full ctest suite, plus seven
+#              CLI smokes:
+#              - crossval: the chunk-sim timing backend end to end;
+#              - explore: explore-frontier under --explore prune;
+#                both assert byte-identical matrix JSON at 2 and 4
+#                threads, fresh and cached;
+#              - fault: the golden matrix under injected cache-I/O
+#                faults is byte-identical to the fault-free cached
+#                run (docs/ROBUSTNESS.md);
+#              - serve: one-shot vs disk-served vs LRU-served golden
+#                payloads are byte-identical, and a nesting-bomb
+#                request is refused (docs/SERVE.md);
+#              - kill-9 resume: a SIGKILLed cached run, rerun over the
+#                same cache, is byte-identical and serves every point
+#                that reached the cache from it (docs/ROBUSTNESS.md);
+#              - simd: a LIBRA_SIMD=off build emits the default
+#                build's golden matrix JSON byte for byte
+#                (docs/PERF.md);
+#              - objective bench: BENCH_objective.json carries the
+#                tracked speedup metrics.
 #   --tsan     ThreadSanitizer build in build-tsan/; runs the threading
 #              contract tests (thread pool, parallel determinism, the
 #              scenario-matrix engine whose sweeps exercise
@@ -68,10 +73,9 @@ case "${MODE}" in
     # timing-backend layer (per-thread chunk-sim memo + crossval fuzz),
     # the fault-tolerance layer (isolated sweeps, injector counters,
     # and line-atomic logging under concurrent cache warnings), the
-    # cache-concurrency hammer, the serve subsystem (LRU +
-    # single-flight + socket server; docs/SERVE.md), and the shard
-    # layer (worker pool, point wire codec; docs/SHARDING.md).
-    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels|test_shard|test_point_wire')
+    # cache-concurrency hammer, and the serve subsystem (LRU +
+    # single-flight + socket server; docs/SERVE.md).
+    CTEST_EXTRA+=(-R 'test_thread_pool|test_parallel_determinism|test_study_engine|test_timing_backend|test_sim_crossval|test_explore|test_cache_faults|test_cache_concurrency|test_serve|test_objective_kernels')
     ;;
   asan)
     BUILD_DIR="build-asan"
@@ -203,71 +207,44 @@ if [[ -z "${MODE}" ]]; then
   grep -Eq '"lruHits": [1-9]' "${SMOKE_DIR}/sstats.json"
   echo "serve smoke: byte-identical golden payloads (one-shot vs disk-served vs LRU-served); nesting bomb refused, ping still answered"
 
-  # Sharded smoke: run-matrix --workers forks worker processes and
-  # merges their results through the cache; the matrix JSON must be
-  # byte-identical to the single-process run, fresh and cached
-  # (docs/SHARDING.md).
+  # Kill-9 resume smoke: every computed point is stored as it lands,
+  # so the cache is the only checkpoint. SIGKILL a cached run once the
+  # cache holds an entry, then rerun over the same cache: the output
+  # must be byte-identical to an uninterrupted run, and every entry
+  # present at the kill must be served from the cache
+  # (docs/ROBUSTNESS.md). Covers the static batch and adaptive prune.
   "${BUILD_DIR}/libra_cli" run-matrix explore-frontier \
-    --emit json --out "${SMOKE_DIR}/shsingle.json"
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --emit json --cache-dir "${SMOKE_DIR}/shcache" \
-    --out "${SMOKE_DIR}/shfresh.json"
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --emit json --cache-dir "${SMOKE_DIR}/shcache" \
-    --out "${SMOKE_DIR}/shcached.json"
-  cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/shfresh.json"
-  cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/shcached.json"
-  echo "shard smoke: byte-identical matrix JSON (single-process vs --workers 2, fresh and cached)"
-
-  # Checkpoint-resume smoke: SIGKILL a checkpointed sharded run once
-  # its manifest shows progress, then resume — the completed output
-  # must be byte-identical and every recorded slot must be served from
-  # the cache, not recomputed (docs/SHARDING.md).
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --cache-dir "${SMOKE_DIR}/ckcache" \
-    --checkpoint "${SMOKE_DIR}/ckmanifest" \
-    --emit json --out "${SMOKE_DIR}/ckkilled.json" 2>/dev/null &
-  CKPT_PID=$!
-  for _ in $(seq 3000); do
-    LINES="$(wc -l < "${SMOKE_DIR}/ckmanifest" 2>/dev/null || echo 0)"
-    [[ "${LINES}" -ge 9 ]] && break
-    kill -0 "${CKPT_PID}" 2>/dev/null || break
-    sleep 0.01
-  done
-  kill -9 "${CKPT_PID}" 2>/dev/null || true
-  wait "${CKPT_PID}" 2>/dev/null || true
-  RECORDED="$(($(wc -l < "${SMOKE_DIR}/ckmanifest") - 1))"
-  [[ "${RECORDED}" -ge 1 ]]
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --workers 2 \
-    --cache-dir "${SMOKE_DIR}/ckcache" \
-    --checkpoint "${SMOKE_DIR}/ckmanifest" \
-    --emit json --out "${SMOKE_DIR}/ckresumed.json" \
-    2> "${SMOKE_DIR}/ckresumed.status"
-  cmp "${SMOKE_DIR}/shsingle.json" "${SMOKE_DIR}/ckresumed.json"
-  grep -q "checkpoint: resuming" "${SMOKE_DIR}/ckresumed.status"
-  # Store-before-append: the cache may hold at most a slot more than
-  # the manifest when the kill landed between the two, so the resume
-  # serves at least every recorded slot from the cache.
-  FROMCACHE="$(sed -nE 's/.*unique, ([0-9]+) from cache.*/\1/p' \
-    "${SMOKE_DIR}/ckresumed.status")"
-  [[ "${FROMCACHE}" -ge "${RECORDED}" ]]
-  echo "checkpoint smoke: killed run (${RECORDED} slots recorded) resumed byte-identically without recompute"
-
-  # Sharded-prune smoke: adaptive exploration rounds cross the wire as
-  # eval frames on the warm worker pool; the matrix JSON must still be
-  # byte-identical to the single-process prune run, fresh and cached
-  # (docs/SHARDING.md, docs/EXPLORE.md).
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --explore prune \
-    --emit json --out "${SMOKE_DIR}/spsingle.json"
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --explore prune \
-    --workers 2 --emit json --cache-dir "${SMOKE_DIR}/spcache" \
-    --out "${SMOKE_DIR}/spfresh.json"
-  "${BUILD_DIR}/libra_cli" run-matrix explore-frontier --explore prune \
-    --workers 2 --emit json --cache-dir "${SMOKE_DIR}/spcache" \
-    --out "${SMOKE_DIR}/spcached.json"
-  cmp "${SMOKE_DIR}/spsingle.json" "${SMOKE_DIR}/spfresh.json"
-  cmp "${SMOKE_DIR}/spsingle.json" "${SMOKE_DIR}/spcached.json"
-  echo "sharded-prune smoke: byte-identical matrix JSON (single-process vs --workers 2 adaptive prune, fresh and cached)"
+    --emit json --out "${SMOKE_DIR}/ksingle.json"
+  kill9_resume() {
+    local name="$1" ref="$2"
+    shift 2
+    local cache="${SMOKE_DIR}/kcache-${name}"
+    "${BUILD_DIR}/libra_cli" run-matrix explore-frontier "$@" \
+      --cache-dir "${cache}" --emit json --out /dev/null 2>/dev/null &
+    local pid=$!
+    for _ in $(seq 12000); do
+      compgen -G "${cache}/*.json" > /dev/null && break
+      kill -0 "${pid}" 2>/dev/null || break
+      sleep 0.005
+    done
+    kill -9 "${pid}" 2>/dev/null || true
+    wait "${pid}" 2>/dev/null || true
+    local entries
+    entries="$(find "${cache}" -maxdepth 1 -name '*.json' | wc -l)"
+    [[ "${entries}" -ge 1 ]]
+    "${BUILD_DIR}/libra_cli" run-matrix explore-frontier "$@" \
+      --cache-dir "${cache}" --emit json \
+      --out "${SMOKE_DIR}/kresumed-${name}.json" \
+      2> "${SMOKE_DIR}/kresumed-${name}.status"
+    cmp "${ref}" "${SMOKE_DIR}/kresumed-${name}.json"
+    local fromcache
+    fromcache="$(sed -nE 's/.*unique, ([0-9]+) from cache.*/\1/p' \
+      "${SMOKE_DIR}/kresumed-${name}.status")"
+    [[ "${fromcache}" -ge "${entries}" ]]
+    echo "kill-9 resume smoke (${name}): ${entries} entries at the kill, rerun byte-identical with ${fromcache} points from cache"
+  }
+  kill9_resume batch "${SMOKE_DIR}/ksingle.json"
+  kill9_resume prune "${SMOKE_DIR}/xfresh2.json" --explore prune
 
   # SIMD smoke: the batched candidate-major kernels promise results
   # bit-identical to the scalar fallback (docs/PERF.md), so a golden
