@@ -1,11 +1,12 @@
 /**
  * @file
  * Compiled-objective evaluation throughput: the function every solver
- * iteration bottoms out in. Measures evaluations/sec of the legacy
- * nested compiled layout, the scalar SoA fast path, the SIMD-batched
- * candidate-major kernel, and the incremental coordinate-move
- * evaluator (plus the uncompiled direct estimator for reference) and
- * emits machine-readable BENCH_objective.json for CI tracking.
+ * iteration bottoms out in. Measures evaluations/sec of the scalar SoA
+ * fast path, the SIMD-batched candidate-major kernel, and one
+ * subgradient step's 2n central-difference points evaluated as one
+ * objective batch against 2n scalar calls (plus the uncompiled direct
+ * estimator for reference) and emits machine-readable
+ * BENCH_objective.json for CI tracking.
  */
 
 #include <algorithm>
@@ -14,7 +15,8 @@
 #include "bench_util.hh"
 #include "common/random.hh"
 #include "core/estimator.hh"
-#include "core/incremental.hh"
+#include "core/objective.hh"
+#include "cost/cost_model.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -85,7 +87,7 @@ void
 run()
 {
     bench::banner("micro", "compiled objective evaluation throughput "
-                           "(nested vs SoA vs SIMD vs incremental)");
+                           "(SoA vs SIMD batch vs gradient batch)");
 
     Network net = topo::threeD512();
     Workload w = wl::msft1T(net.npus());
@@ -99,11 +101,6 @@ run()
     double direct = measure(
         [&](std::size_t i) {
             return est.estimate(w, pool[i % pool.size()]);
-        },
-        1, budget, &sink);
-    double nested = measure(
-        [&](std::size_t i) {
-            return cw.estimateNested(pool[i % pool.size()]);
         },
         1, budget, &sink);
     double soa = measure(
@@ -121,28 +118,54 @@ run()
         },
         pool.size(), budget, &sink);
 
-    // Incremental single-coordinate probes off a fixed base,
-    // cycling the probed dimension and value.
-    WorkloadIncremental inc(cw);
-    inc.setBase(pool[0]);
-    double incremental = measure(
+    // One subgradient step's central differences: 2n points, each one
+    // coordinate off a pool point, through the objective's batch facet
+    // (one padded SIMD block) against 2n scalar objective calls.
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {{w, 1.0}};
+    ScalarObjective f = makeObjective(OptimizationObjective::PerfOpt,
+                                      est, cost, targets);
+    const BatchEvaluable* facet = batchFacet(f);
+    if (!facet)
+        panic("the analytical objective lost its batch facet");
+    std::vector<std::vector<Vec>> steps;
+    for (const BwConfig& x : pool) {
+        std::vector<Vec> points(2 * dims, x);
+        for (std::size_t d = 0; d < dims; ++d) {
+            points[2 * d][d] *= 1.0 + kGradientRelStep;
+            points[2 * d + 1][d] *= 1.0 - kGradientRelStep;
+        }
+        steps.push_back(std::move(points));
+    }
+    std::vector<double> values(2 * dims, 0.0);
+    double gradBatch = measure(
         [&](std::size_t i) {
-            const std::size_t d = i % dims;
-            return inc.probe(d, pool[i % pool.size()][d]);
+            const auto& points = steps[i % steps.size()];
+            facet->evaluateBatch(points.data(), points.size(),
+                                 values.data());
+            return values[i % values.size()];
         },
-        1, budget, &sink);
+        2 * dims, budget, &sink);
+    double gradScalar = measure(
+        [&](std::size_t i) {
+            double acc = 0.0;
+            for (const Vec& p : steps[i % steps.size()])
+                acc += f(p);
+            return acc;
+        },
+        2 * dims, budget, &sink);
 
     Table t;
-    t.header({"Path", "evals/sec", "speedup vs nested"});
+    t.header({"Path", "evals/sec", "speedup"});
     t.row({"direct estimator", Table::num(direct, 0),
-           Table::num(direct / nested, 2)});
-    t.row({"compiled nested", Table::num(nested, 0), "1.00"});
-    t.row({"compiled SoA", Table::num(soa, 0),
-           Table::num(soa / nested, 2)});
+           Table::num(direct / soa, 2) + " vs SoA"});
+    t.row({"compiled SoA", Table::num(soa, 0), "1.00 vs SoA"});
     t.row({std::string("SIMD batched (") + activeSimdKernel() + ")",
-           Table::num(batched, 0), Table::num(batched / nested, 2)});
-    t.row({"incremental probe", Table::num(incremental, 0),
-           Table::num(incremental / nested, 2)});
+           Table::num(batched, 0), Table::num(batched / soa, 2) + " vs SoA"});
+    t.row({"gradient batch (" + std::to_string(2 * dims) + " points)",
+           Table::num(gradBatch, 0),
+           Table::num(gradBatch / gradScalar, 2) + " vs " +
+               std::to_string(2 * dims) + " scalar calls"});
     t.print(std::cout);
 
     Json j = Json::object();
@@ -151,18 +174,17 @@ run()
     j["workload"] = w.name;
     j["simd_kernel"] = activeSimdKernel();
     j["direct_evals_per_sec"] = direct;
-    j["nested_evals_per_sec"] = nested;
     j["soa_evals_per_sec"] = soa;
-    j["soa_speedup_vs_nested"] = soa / nested;
     j["batch_evals_per_sec"] = batched;
     j["batch_speedup_vs_soa"] = batched / soa;
-    j["incremental_evals_per_sec"] = incremental;
-    j["incremental_speedup_vs_soa"] = incremental / soa;
+    j["gradient_batch_evals_per_sec"] = gradBatch;
+    j["gradient_scalar_evals_per_sec"] = gradScalar;
+    j["gradient_batch_speedup_vs_scalar"] = gradBatch / gradScalar;
     bench::writeBenchJson("BENCH_objective.json", j);
     std::cout << "\nWrote BENCH_objective.json (SIMD batch speedup "
               << Table::num(batched / soa, 2) << "x vs scalar SoA, "
-              << "incremental " << Table::num(incremental / soa, 2)
-              << "x).\n";
+              << "gradient batch " << Table::num(gradBatch / gradScalar, 2)
+              << "x vs scalar calls).\n";
 }
 
 } // namespace

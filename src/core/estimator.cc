@@ -178,45 +178,8 @@ TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
     return total;
 }
 
-Seconds
-CompiledWorkload::opsTime(const std::vector<Op>& ops, const BwConfig& bw)
-{
-    Seconds total = 0.0;
-    for (const auto& op : ops) {
-        Seconds worst = 0.0;
-        for (const auto& [dim, traffic] : op) {
-            Seconds t = transferTime(traffic, bw[dim]);
-            if (t > worst)
-                worst = t;
-        }
-        total += worst;
-    }
-    return total;
-}
-
-Seconds
-CompiledWorkload::estimateNested(const BwConfig& bw) const
-{
-    Seconds total = 0.0;
-    for (const auto& layer : layers_) {
-        total += layer.fwdCompute + opsTime(layer.fwd, bw);
-        switch (loop_) {
-          case TrainingLoop::NoOverlap:
-            total += layer.igCompute + opsTime(layer.ig, bw) +
-                     layer.wgCompute + opsTime(layer.wg, bw);
-            break;
-          case TrainingLoop::TpDpOverlap:
-            total += layer.igCompute +
-                     std::max(opsTime(layer.ig, bw),
-                              layer.wgCompute + opsTime(layer.wg, bw));
-            break;
-        }
-    }
-    return total;
-}
-
 void
-CompiledWorkload::buildSoA()
+CompiledWorkload::buildSoA(const std::vector<CompiledLayer>& layers)
 {
     traffic_.clear();
     entryDim_.clear();
@@ -249,7 +212,7 @@ CompiledWorkload::buildSoA()
         return r;
     };
 
-    for (const auto& layer : layers_) {
+    for (const auto& layer : layers) {
         LayerMeta m;
         m.fwdCompute = layer.fwdCompute;
         m.igCompute = layer.igCompute;
@@ -389,6 +352,8 @@ TrainingEstimator::compile(const Workload& w) const
     CompiledWorkload cw;
     cw.loop_ = options_.loop;
     cw.numDims_ = net_.numDims();
+    std::vector<CompiledWorkload::CompiledLayer> layers;
+    layers.reserve(w.layers.size());
     for (const auto& layer : w.layers) {
         CompiledWorkload::CompiledLayer cl;
         cl.fwdCompute = layer.fwdCompute;
@@ -397,9 +362,9 @@ TrainingEstimator::compile(const Workload& w) const
         cl.fwd = compileOps(layer.fwdComm);
         cl.ig = compileOps(layer.igComm);
         cl.wg = compileOps(layer.wgComm);
-        cw.layers_.push_back(std::move(cl));
+        layers.push_back(std::move(cl));
     }
-    cw.buildSoA();
+    cw.buildSoA(layers);
     return cw;
 }
 

@@ -34,7 +34,6 @@ namespace libra {
 enum class TrainingLoop { NoOverlap, TpDpOverlap };
 
 class TimingBackend;
-class WorkloadIncremental;
 
 namespace detail {
 template <typename Lane> struct BatchKernel;
@@ -161,8 +160,9 @@ class CompiledWorkload
     /**
      * Evaluate @p n bandwidth configurations into @p out, SIMD lanes
      * laid across candidates (core/eval_kernels_impl.hh). Each out[i]
-     * is bit-identical to estimate(bws[i]); candidates beyond the last
-     * full SIMD block take the scalar path directly.
+     * is bit-identical to estimate(bws[i]). A remainder of two or
+     * more candidates past the last full SIMD block runs as one padded
+     * block; a lone remainder candidate takes the scalar path.
      */
     void estimateBatch(const BwConfig* bws, std::size_t n,
                        Seconds* out) const;
@@ -176,13 +176,6 @@ class CompiledWorkload
         return out;
     }
 
-    /**
-     * Iteration time via the legacy nested (vector-of-vector-of-pairs)
-     * layout. Kept as the A/B reference for bench/micro_objective_eval
-     * and the equivalence tests; same math, slower memory walk.
-     */
-    Seconds estimateNested(const BwConfig& bw) const;
-
     /** Network rank this workload was compiled against. */
     std::size_t numDims() const { return numDims_; }
 
@@ -191,9 +184,6 @@ class CompiledWorkload
 
     /** The batched SIMD kernels evaluate the SoA arrays directly. */
     template <typename Lane> friend struct detail::BatchKernel;
-
-    /** The incremental evaluator caches per-op/per-dim partials. */
-    friend class WorkloadIncremental;
 
     /** One collective resolved to (dimension, bytes) pairs. */
     using Op = std::vector<std::pair<std::size_t, Bytes>>;
@@ -227,21 +217,18 @@ class CompiledWorkload
         std::uint32_t singlesRow = 0; ///< fwd row; ig/wg follow.
     };
 
-    static Seconds opsTime(const std::vector<Op>& ops, const BwConfig& bw);
-
     /** Bottleneck-time sum of the multi-span ops in @p r. */
     Seconds multiOpsTime(PhaseRange r, const double* recip) const;
 
     /** Dot of a singles_ row with the reciprocal-bandwidth vector. */
     Seconds singlesTime(std::uint32_t row, const double* recip) const;
 
-    /** Build the flat arrays from layers_. */
-    void buildSoA();
+    /** Build the flat arrays from the per-layer compiled ops. */
+    void buildSoA(const std::vector<CompiledLayer>& layers);
 
     TrainingLoop loop_ = TrainingLoop::NoOverlap;
-    std::vector<CompiledLayer> layers_; ///< Nested reference layout.
 
-    // SoA evaluation layout (derived from layers_ by buildSoA).
+    // SoA evaluation layout (built by buildSoA).
     std::size_t numDims_ = 0;
     std::vector<Bytes> traffic_;         ///< Multi-span op traffic.
     std::vector<std::uint32_t> entryDim_; ///< Dim of each traffic entry.

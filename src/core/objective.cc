@@ -1,14 +1,11 @@
 #include "core/objective.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
 #include <functional>
 #include <memory>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "core/incremental.hh"
 
 namespace libra {
 
@@ -58,9 +55,20 @@ CompiledObjective::applyCost(Seconds time, const Vec& x) const
     return time * c;
 }
 
+void
+CompiledObjective::checkSize(const Vec& x) const
+{
+    const std::size_t dims = estimator_->network().numDims();
+    if (x.size() != dims) {
+        panic("objective evaluated at a ", x.size(),
+              "-dimensional point on a ", dims, "-dimensional network");
+    }
+}
+
 double
 CompiledObjective::evaluateOne(const Vec& x) const
 {
+    checkSize(x);
     Seconds t = 0.0;
     for (const auto& [cw, weight] : compiled_)
         t += weight * cw.estimate(x);
@@ -68,125 +76,45 @@ CompiledObjective::evaluateOne(const Vec& x) const
 }
 
 void
+CompiledObjective::evaluateBlock(const Vec* xs, std::size_t count,
+                                 double* out) const
+{
+    Seconds tmp[kBlock];
+    Seconds acc[kBlock];
+    for (std::size_t i = 0; i < count; ++i)
+        acc[i] = 0.0;
+    for (const auto& [cw, weight] : compiled_) {
+        cw.estimateBatch(xs, count, tmp);
+        for (std::size_t i = 0; i < count; ++i)
+            acc[i] += weight * tmp[i];
+    }
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = applyCost(acc[i], xs[i]);
+}
+
+void
 CompiledObjective::evaluateBatch(const Vec* xs, std::size_t n,
                                  double* out) const
 {
+    for (std::size_t i = 0; i < n; ++i)
+        checkSize(xs[i]);
     // Cache-blocked candidate-major evaluation: each workload's SoA
     // arrays stream once per block through the SIMD kernels, and the
     // weighted sum accumulates per candidate slot in workload order —
-    // the same adds, in the same order, as evaluateOne. Blocks fan
-    // out across the thread pool; every output has its own slot, so
-    // results are deterministic at any thread count.
-    constexpr std::size_t kBlock = 32;
+    // the same adds, in the same order, as evaluateOne. A batch of one
+    // block (a subgradient step's central differences) runs inline;
+    // larger ones fan their blocks out across the thread pool. Every
+    // output has its own slot, so results are deterministic at any
+    // thread count.
+    if (n <= kBlock) {
+        evaluateBlock(xs, n, out);
+        return;
+    }
     const std::size_t blocks = (n + kBlock - 1) / kBlock;
     parallelFor(blocks, [&](std::size_t b) {
         const std::size_t lo = b * kBlock;
-        const std::size_t count = std::min(kBlock, n - lo);
-        Seconds tmp[kBlock];
-        Seconds acc[kBlock];
-        for (std::size_t i = 0; i < count; ++i)
-            acc[i] = 0.0;
-        for (const auto& [cw, weight] : compiled_) {
-            cw.estimateBatch(xs + lo, count, tmp);
-            for (std::size_t i = 0; i < count; ++i)
-                acc[i] += weight * tmp[i];
-        }
-        for (std::size_t i = 0; i < count; ++i)
-            out[lo + i] = applyCost(acc[i], xs[lo + i]);
+        evaluateBlock(xs + lo, std::min(kBlock, n - lo), out + lo);
     });
-}
-
-/**
- * Objective-level incremental evaluator: one WorkloadIncremental per
- * compiled workload, combined with the same weighted sum (and cost
- * multiply) as evaluateOne. evaluate() picks the cheapest exact path
- * by diffing against the base bit-for-bit: bit-equal inputs evaluate
- * identically, so reusing the cached value / probing the single
- * changed coordinate cannot alter any result.
- */
-class CompiledObjective::Incremental final : public IncrementalEval
-{
-  public:
-    explicit Incremental(const CompiledObjective& obj) : obj_(&obj)
-    {
-        subs_.reserve(obj.compiled_.size());
-        for (const auto& [cw, weight] : obj.compiled_)
-            subs_.emplace_back(cw);
-    }
-
-    void
-    setBase(const Vec& x, const double* knownValue) override
-    {
-        base_ = x;
-        for (auto& sub : subs_)
-            sub.setBase(x);
-        haveValue_ = knownValue != nullptr;
-        if (knownValue)
-            value_ = *knownValue;
-    }
-
-    double
-    baseValue() override
-    {
-        if (!haveValue_) {
-            value_ = obj_->evaluateOne(base_);
-            haveValue_ = true;
-        }
-        return value_;
-    }
-
-    double
-    probe(std::size_t dim, double value) override
-    {
-        Seconds t = 0.0;
-        const auto& compiled = obj_->compiled_;
-        for (std::size_t i = 0; i < subs_.size(); ++i)
-            t += compiled[i].second * subs_[i].probe(dim, value);
-        if (obj_->objective_ == OptimizationObjective::PerfOpt)
-            return t;
-        scratch_ = base_;
-        scratch_[dim] = value;
-        return obj_->applyCost(t, scratch_);
-    }
-
-    double
-    evaluate(const Vec& x) override
-    {
-        std::size_t diffs = 0;
-        std::size_t changed = 0;
-        if (x.size() == base_.size()) {
-            for (std::size_t i = 0; i < x.size() && diffs < 2; ++i) {
-                if (std::bit_cast<std::uint64_t>(x[i]) !=
-                    std::bit_cast<std::uint64_t>(base_[i])) {
-                    ++diffs;
-                    changed = i;
-                }
-            }
-        } else {
-            diffs = 2;
-        }
-        if (diffs == 0)
-            return baseValue();
-        if (diffs == 1)
-            return probe(changed, x[changed]);
-        const double v = obj_->evaluateOne(x);
-        setBase(x, &v);
-        return v;
-    }
-
-  private:
-    const CompiledObjective* obj_;
-    std::vector<WorkloadIncremental> subs_;
-    Vec base_;
-    Vec scratch_;
-    double value_ = 0.0;
-    bool haveValue_ = false;
-};
-
-std::unique_ptr<IncrementalEval>
-CompiledObjective::makeIncremental() const
-{
-    return std::make_unique<Incremental>(*this);
 }
 
 ScalarObjective
@@ -219,8 +147,8 @@ makeObjective(OptimizationObjective objective,
     // Precompiled path: the solver calls the objective tens of
     // thousands of times, so resolve every collective's per-dimension
     // traffic once up front. Wrapping the CompiledObjective in
-    // BatchableObjective lets solvers recover the batched/incremental
-    // facets with batchFacet().
+    // BatchableObjective lets solvers recover the batched facet with
+    // batchFacet().
     return BatchableObjective{std::make_shared<const CompiledObjective>(
         objective, estimator, cost_model, targets)};
 }

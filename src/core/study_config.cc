@@ -336,6 +336,8 @@ zooNameOf(const Workload& w, long npus)
     return "";
 }
 
+} // namespace
+
 std::string
 trimmed(const std::string& s)
 {
@@ -345,8 +347,6 @@ trimmed(const std::string& s)
     auto end = s.find_last_not_of(" \t");
     return s.substr(begin, end - begin + 1);
 }
-
-} // namespace
 
 bool
 studyInputsEqual(const LibraInputs& a, const LibraInputs& b)

@@ -78,6 +78,12 @@ std::string studyConfigToString(const LibraInputs& inputs);
  */
 bool studyConfigSerializable(const LibraInputs& inputs);
 
+/**
+ * @p s without leading and trailing spaces and tabs. CONSTRAINT text
+ * is serialized, compared, and cache-keyed in this form.
+ */
+std::string trimmed(const std::string& s);
+
 /** Deep equality of two parsed study inputs (round-trip testing). */
 bool studyInputsEqual(const LibraInputs& a, const LibraInputs& b);
 

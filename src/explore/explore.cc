@@ -6,21 +6,12 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "core/study_config.hh"
 #include "solver/multistart.hh"
 
 namespace libra {
 
 namespace {
-
-std::string
-trimmed(const std::string& s)
-{
-    auto begin = s.find_first_not_of(" \t");
-    if (begin == std::string::npos)
-        return "";
-    auto end = s.find_last_not_of(" \t");
-    return s.substr(begin, end - begin + 1);
-}
 
 std::string
 knownStrategies()

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "solver/batch_eval.hh"
 #include "solver/qp.hh"
 
 namespace libra {
@@ -20,20 +18,7 @@ patternSearch(const ScalarObjective& f, const ConstraintSet& constraints,
     double step = options.initialStep * base;
     const double minStep = options.minStep * base;
 
-    // Compass polls move one coordinate off the incumbent (projection
-    // usually leaves the others untouched), which the compiled
-    // objective re-evaluates incrementally; the evaluator detects the
-    // actual diff after projection and falls back to a full evaluation
-    // when clipping coupled other coordinates. Plain objectives pay a
-    // full evaluation per poll. Every value is bit-identical.
-    const BatchEvaluable* batch = batchFacet(f);
-    std::unique_ptr<IncrementalEval> inc;
-    if (batch)
-        inc = batch->makeIncremental();
-
     SearchResult best{x0, f(x0), 0};
-    if (inc)
-        inc->setBase(x0, &best.value);
     int evals = 0;
 
     while (step > minStep && evals < options.maxIterations) {
@@ -44,14 +29,12 @@ patternSearch(const ScalarObjective& f, const ConstraintSet& constraints,
                 Vec cand = best.x;
                 cand[i] += sign * step;
                 cand = projectOntoConstraints(constraints, cand);
-                double fv = inc ? inc->evaluate(cand) : f(cand);
+                double fv = f(cand);
                 ++evals;
                 if (fv < best.value) {
                     best.value = fv;
                     best.x = cand;
                     improved = true;
-                    if (inc)
-                        inc->setBase(cand, &fv);
                 }
             }
         }

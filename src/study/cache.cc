@@ -16,6 +16,7 @@
 
 #include "common/fault.hh"
 #include "common/logging.hh"
+#include "core/study_config.hh"
 #include "core/timing_backend.hh"
 #include "explore/explore.hh"
 #include "solver/strategy.hh"
@@ -70,7 +71,7 @@ canonicalStudyKey(const LibraInputs& inputs)
     out += std::to_string(cfg.constraints.size());
     out += "constraints ";
     for (const auto& c : cfg.constraints)
-        appendCanonicalString(out, c);
+        appendCanonicalString(out, trimmed(c));
 
     out += "loop";
     out += std::to_string(static_cast<int>(cfg.estimator.loop));

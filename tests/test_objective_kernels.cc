@@ -2,15 +2,15 @@
  * @file
  * Bit-identity contracts of the fast objective-evaluation kernels.
  *
- * The SIMD-batched candidate-major path (estimateBatch) and the
- * incremental coordinate-move evaluator (WorkloadIncremental,
- * surfaced to solvers through the CompiledObjective facets) promise
- * results *bit-identical* to the scalar SoA estimate() — not merely
- * close. These tests enforce that promise with std::bit_cast
- * comparisons across dimension counts chosen to cover full SIMD
- * lanes, remainder lanes, and the scalar tail (1, 2, 8, 15, 16, 17),
- * both training loops, odd batch sizes, and a seeded coordinate-move
- * walk with periodic rebases.
+ * The SIMD-batched candidate-major path (estimateBatch, surfaced to
+ * solvers through the CompiledObjective batch facet) promises results
+ * *bit-identical* to the scalar SoA estimate() — not merely close.
+ * These tests enforce that promise with std::bit_cast comparisons
+ * across dimension counts (1, 2, 8, 15, 16, 17), both training loops,
+ * and every batch size up to two full blocks of the widest kernel
+ * plus one, so every padded remainder size is hit. The solvers that
+ * use the facet must return bit-identical results with and without
+ * it.
  */
 
 #include <bit>
@@ -22,10 +22,11 @@
 
 #include "common/random.hh"
 #include "core/estimator.hh"
-#include "core/incremental.hh"
 #include "core/objective.hh"
 #include "cost/cost_model.hh"
 #include "solver/batch_eval.hh"
+#include "solver/pattern_search.hh"
+#include "solver/subgradient.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
 
@@ -130,15 +131,19 @@ class ObjectiveKernels : public ::testing::TestWithParam<KernelCase>
     std::unique_ptr<CompiledWorkload> cw_;
 };
 
+/** Lanes of the widest kernel (avx512); narrower ones divide it. */
+constexpr std::size_t kMaxLaneWidth = 8;
+
 /**
  * estimateBatch must agree with per-candidate estimate() to the last
- * bit, at batch sizes exercising a lone candidate, sub-lane batches,
- * exactly-full SIMD blocks, and blocks plus a remainder tail.
+ * bit at every batch size from a lone candidate to two full blocks of
+ * the widest kernel plus one: full blocks, every padded remainder
+ * size, and the scalar lone remainder.
  */
 TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
 {
     Rng rng(0x5EED + GetParam().dims);
-    for (std::size_t n : {1, 3, 8, 33}) {
+    for (std::size_t n = 1; n <= 2 * kMaxLaneWidth + 1; ++n) {
         std::vector<BwConfig> pool;
         for (std::size_t i = 0; i < n; ++i)
             pool.push_back(randomPoint(rng, net_->numDims()));
@@ -148,44 +153,6 @@ TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
             EXPECT_EQ(bits(out[i]), bits(cw_->estimate(pool[i])))
                 << "candidate " << i << " of " << n << " ("
                 << activeSimdKernel() << " kernel)";
-        }
-    }
-}
-
-/**
- * A seeded coordinate-move walk: every probe must match a full
- * evaluation of the moved point bit-for-bit, the base estimate must
- * match the base point, and probing must never disturb the base.
- * Accepted moves periodically rebase to exercise the lazy cache
- * rebuild.
- */
-TEST_P(ObjectiveKernels, IncrementalMatchesFullBitExact)
-{
-    const std::size_t dims = net_->numDims();
-    Rng rng(0xA11CE + GetParam().dims);
-    WorkloadIncremental inc(*cw_);
-
-    BwConfig base = randomPoint(rng, dims);
-    inc.setBase(base);
-    ASSERT_EQ(bits(inc.baseEstimate()), bits(cw_->estimate(base)));
-
-    for (int step = 0; step < 200; ++step) {
-        const std::size_t d =
-            static_cast<std::size_t>(rng.uniformInt(0, dims - 1));
-        const double v = rng.uniform(1.0, 600.0);
-        BwConfig moved = base;
-        moved[d] = v;
-
-        const Seconds probed = inc.probe(d, v);
-        EXPECT_EQ(bits(probed), bits(cw_->estimate(moved)))
-            << "step " << step << " dim " << d << " value " << v;
-        // The probe must leave the base evaluation untouched.
-        EXPECT_EQ(bits(inc.baseEstimate()), bits(cw_->estimate(base)))
-            << "base disturbed at step " << step;
-
-        if (step % 7 == 3) {
-            base = moved;
-            inc.setBase(base);
         }
     }
 }
@@ -252,12 +219,12 @@ class ObjectiveFacets
 {};
 
 /**
- * The facets must reproduce the plain call operator exactly: the
- * batched path over a mixed-weight two-workload ensemble and the
- * incremental path over single-coordinate moves, under both
- * objectives (PerfPerCostOpt adds the cost multiply after the sum).
+ * The batch facet must reproduce the plain call operator exactly over
+ * a mixed-weight two-workload ensemble, under both objectives
+ * (PerfPerCostOpt adds the cost multiply after the sum), for batches
+ * run inline (one block) and fanned across the thread pool.
  */
-TEST_P(ObjectiveFacets, BatchAndIncrementalMatchCallOperator)
+TEST_P(ObjectiveFacets, BatchMatchesCallOperator)
 {
     Network net = Network::parse("RI(4)_FC(4)_SW(4)");
     TrainingEstimator est(net);
@@ -272,40 +239,16 @@ TEST_P(ObjectiveFacets, BatchAndIncrementalMatchCallOperator)
 
     Rng rng(0xFACE7);
     std::vector<Vec> pool;
-    for (int i = 0; i < 33; ++i)
+    for (int i = 0; i < 70; ++i)
         pool.push_back(randomPoint(rng, net.numDims()));
 
-    std::vector<double> out(pool.size(), -1.0);
-    batch->evaluateBatch(pool.data(), pool.size(), out.data());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-        EXPECT_EQ(bits(out[i]), bits(f(pool[i]))) << "candidate " << i;
-        EXPECT_EQ(bits(out[i]), bits(batch->evaluateOne(pool[i])));
-    }
-
-    std::unique_ptr<IncrementalEval> inc = batch->makeIncremental();
-    ASSERT_NE(inc, nullptr);
-    Vec base = pool[0];
-    inc->setBase(base, nullptr);
-    for (int step = 0; step < 60; ++step) {
-        const std::size_t d = static_cast<std::size_t>(
-            rng.uniformInt(0, net.numDims() - 1));
-        const double v = rng.uniform(1.0, 600.0);
-        Vec moved = base;
-        moved[d] = v;
-        EXPECT_EQ(bits(inc->probe(d, v)), bits(f(moved)))
-            << "step " << step;
-        // evaluate() detects the actual diff itself: a one-coordinate
-        // move probes, identical input returns the cached base, and a
-        // multi-coordinate move falls back to a full evaluation.
-        EXPECT_EQ(bits(inc->evaluate(moved)), bits(f(moved)));
-        EXPECT_EQ(bits(inc->evaluate(base)), bits(f(base)));
-        Vec twoMoves = moved;
-        twoMoves[(d + 1) % net.numDims()] += 5.0;
-        EXPECT_EQ(bits(inc->evaluate(twoMoves)), bits(f(twoMoves)));
-        inc->setBase(base, nullptr);
-        if (step % 11 == 5) {
-            base = moved;
-            inc->setBase(base, nullptr);
+    for (std::size_t n : {1, 6, 32, 33, 70}) {
+        std::vector<double> out(n, -1.0);
+        batch->evaluateBatch(pool.data(), n, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(bits(out[i]), bits(f(pool[i])))
+                << "candidate " << i << " of " << n;
+            EXPECT_EQ(bits(out[i]), bits(batch->evaluateOne(pool[i])));
         }
     }
 }
@@ -317,6 +260,124 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<OptimizationObjective>& info) {
         return objectiveName(info.param);
     });
+
+/**
+ * A point whose size differs from the network's dimension count is a
+ * solver bug; the objective seam panics instead of reading past the
+ * bandwidth vector.
+ */
+TEST(ObjectiveDeathTest, DimensionMismatchPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    TrainingEstimator est(net);
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {
+        {wl::resnet50(net.npus()), 1.0}};
+    ScalarObjective f = makeObjective(OptimizationObjective::PerfOpt,
+                                      est, cost, targets);
+    const BatchEvaluable* batch = batchFacet(f);
+    ASSERT_NE(batch, nullptr);
+
+    EXPECT_DEATH(f(Vec(2, 100.0)),
+                 "2-dimensional point on a 3-dimensional network");
+    std::vector<Vec> xs = {Vec(3, 100.0), Vec(4, 100.0)};
+    double out[2];
+    EXPECT_DEATH(batch->evaluateBatch(xs.data(), xs.size(), out),
+                 "4-dimensional point on a 3-dimensional network");
+}
+
+struct SolverCase
+{
+    std::size_t dims;
+    TrainingLoop loop;
+    OptimizationObjective objective;
+};
+
+std::string
+solverCaseName(const ::testing::TestParamInfo<SolverCase>& info)
+{
+    return std::to_string(info.param.dims) + "d_" +
+           (info.param.loop == TrainingLoop::NoOverlap ? "NoOverlap_"
+                                                       : "TpDpOverlap_") +
+           objectiveName(info.param.objective);
+}
+
+class FacetedSolvers : public ::testing::TestWithParam<SolverCase>
+{};
+
+void
+expectSameResult(const SearchResult& a, const SearchResult& b)
+{
+    ASSERT_EQ(a.x.size(), b.x.size());
+    for (std::size_t i = 0; i < a.x.size(); ++i)
+        EXPECT_EQ(bits(a.x[i]), bits(b.x[i])) << "coordinate " << i;
+    EXPECT_EQ(bits(a.value), bits(b.value));
+    EXPECT_EQ(a.iterations, b.iterations);
+}
+
+/**
+ * The solvers that recover the batch facet must return the same x,
+ * value, and iteration count, bit for bit, as on the same objective
+ * wrapped in a plain lambda (no facet, one call per point).
+ */
+TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
+{
+    const SolverCase& param = GetParam();
+    Network net = makeChainNetwork(param.dims);
+    EstimatorOptions opt;
+    opt.loop = param.loop;
+    TrainingEstimator est(net, opt);
+    CostModel cost = CostModel::defaultModel();
+    std::vector<TargetWorkload> targets = {
+        {makeSyntheticWorkload(net.npus()), 1.0}};
+
+    ScalarObjective faceted =
+        makeObjective(param.objective, est, cost, targets);
+    ASSERT_NE(batchFacet(faceted), nullptr);
+    // A plain lambda yields no facet (RecoveredOnlyForAnalyticalTiming).
+    ScalarObjective plain = [&faceted](const Vec& x) {
+        return faceted(x);
+    };
+
+    const double total = 600.0;
+    ConstraintSet cs(param.dims);
+    cs.addTotalBw(total);
+    cs.addLowerBounds(1.0);
+    // An uneven feasible start, so the search has work to do.
+    Vec x0(param.dims);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < param.dims; ++i)
+        sum += x0[i] = static_cast<double>(i + 1);
+    for (double& v : x0)
+        v *= total / sum;
+
+    expectSameResult(projectedSubgradient(faceted, cs, x0),
+                     projectedSubgradient(plain, cs, x0));
+    expectSameResult(patternSearch(faceted, cs, x0),
+                     patternSearch(plain, cs, x0));
+}
+
+std::vector<SolverCase>
+solverGrid()
+{
+    std::vector<SolverCase> grid;
+    for (std::size_t dims : {1, 2, 3, 4, 8, 9, 17}) {
+        for (TrainingLoop loop :
+             {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap}) {
+            for (OptimizationObjective objective :
+                 {OptimizationObjective::PerfOpt,
+                  OptimizationObjective::PerfPerCostOpt}) {
+                grid.push_back({dims, loop, objective});
+            }
+        }
+    }
+    return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, FacetedSolvers,
+                         ::testing::ValuesIn(solverGrid()),
+                         solverCaseName);
 
 } // namespace
 } // namespace libra

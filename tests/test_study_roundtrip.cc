@@ -141,65 +141,13 @@ TEST(StudyRoundTrip, ParseSerializeParseIsIdentity)
 }
 
 /**
- * Studies in normal form (one space after each keyword), weighted
- * toward the knobs adaptive exploration perturbs: SEED, STARTS,
- * MAX_EVALS, SOLVER, and EXPLORE.
- */
-const char* kKeyCorpus[] = {
-    "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n",
-    "NETWORK RI(16)_FC(8)_SW(32)\n"
-    "TOTAL_BW 400\n"
-    "OBJECTIVE PERF_PER_COST\n"
-    "LOOP TP_DP_OVERLAP\n"
-    "WORKLOAD gpt3\n",
-    "NETWORK RI(4)_FC(8)_RI(4)_SW(32)\n"
-    "TOTAL_BW 500\n"
-    "CONSTRAINT B4 <= 50\n"
-    "CONSTRAINT B1 >= B2\n"
-    "WORKLOAD turing-nlg\n",
-    "NETWORK RI(16)_FC(8)_SW(32)\n"
-    "WORKLOAD gpt3 WEIGHT 2.5\n"
-    "WORKLOAD msft1t WEIGHT 0.125\n"
-    "WORKLOAD dlrm\n"
-    "NORMALIZE_WEIGHTS\n",
-    "NETWORK FC(8)_RI(16)_SW(8)\n"
-    "IN_NETWORK\n"
-    "SEED 7\n"
-    "STARTS 5\n"
-    "WORKLOAD msft1t\n",
-    // The prune-screening shape: tightened budget, single start.
-    "NETWORK RI(4)_SW(8)\n"
-    "STARTS 1\n"
-    "MAX_EVALS 120\n"
-    "SOLVER cmaes\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "MAX_EVALS 240\n"
-    "EXPLORE prune,keep=0.25\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(4)_SW(8)_SW(16)\n"
-    "TOTAL_BW 800\n"
-    "DOLLAR_CAP 1.5e7\n"
-    "THREADS 8\n"
-    "WORKLOAD msft1t WEIGHT 1.0\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "SOLVER cmaes\n"
-    "SOLVER de\n"
-    "WORKLOAD resnet50\n",
-    "NETWORK RI(4)_SW(8)\n"
-    "BACKEND analytical\n"
-    "SEED 1234567\n"
-    "WORKLOAD dlrm\n",
-};
-
-/**
  * The property the result cache rests on: a study's text form reparses
  * to the identical canonical key, so a point written out as a study
  * file and rerun lands on the cache entry of the original.
  */
 TEST(StudyRoundTrip, RoundTripPreservesCanonicalKey)
 {
-    for (const char* text : kKeyCorpus) {
+    for (const char* text : kCorpus) {
         SCOPED_TRACE(text);
         LibraInputs parsed = parseStudyConfigString(text);
         ASSERT_TRUE(studyConfigSerializable(parsed));
@@ -207,6 +155,26 @@ TEST(StudyRoundTrip, RoundTripPreservesCanonicalKey)
             parseStudyConfigString(studyConfigToString(parsed));
         EXPECT_EQ(canonicalStudyKey(parsed), canonicalStudyKey(reparsed));
     }
+}
+
+/**
+ * CONSTRAINT text is keyed in its trimmed form: extra blanks around
+ * it key like the normal form, and like a constraint built in code.
+ */
+TEST(StudyRoundTrip, ConstraintBlanksDoNotChangeTheKey)
+{
+    LibraInputs spaced = parseStudyConfigString(
+        "NETWORK RI(4)_SW(8)\n"
+        "CONSTRAINT   B1 >= B2  \n"
+        "WORKLOAD resnet50\n");
+    LibraInputs reparsed =
+        parseStudyConfigString(studyConfigToString(spaced));
+    EXPECT_EQ(canonicalStudyKey(spaced), canonicalStudyKey(reparsed));
+
+    LibraInputs built = parseStudyConfigString(
+        "NETWORK RI(4)_SW(8)\nWORKLOAD resnet50\n");
+    built.config.constraints.push_back("B1 >= B2");
+    EXPECT_EQ(canonicalStudyKey(spaced), canonicalStudyKey(built));
 }
 
 TEST(StudyRoundTrip, SerializeIsAFixpoint)

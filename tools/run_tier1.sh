@@ -269,9 +269,9 @@ if [[ -z "${MODE}" ]]; then
   echo "simd smoke: byte-identical matrix JSON (LIBRA_SIMD=off vs auto, fresh 1t vs cached 8t)"
 
   # Objective-throughput smoke: the bench must run and emit parseable
-  # metrics with the scalar-SoA speedup the perf docs track.
+  # metrics with the SIMD batch speedup the perf docs track.
   BENCH_BIN="$(pwd)/${BUILD_DIR}/micro_objective_eval"
   (cd "${SMOKE_DIR}" && "${BENCH_BIN}")
-  grep -q '"soa_speedup_vs_nested":' "${SMOKE_DIR}/BENCH_objective.json"
+  grep -q '"batch_speedup_vs_soa":' "${SMOKE_DIR}/BENCH_objective.json"
   echo "objective bench smoke: BENCH_objective.json emitted with speedup metrics"
 fi
