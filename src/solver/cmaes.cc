@@ -79,6 +79,7 @@ cmaesSearch(const ScalarObjective& f, const ConstraintSet& constraints,
     std::vector<Vec> steps(lam); // Repaired y_i = (x_i - mean) / sigma.
     Vec values(lam, 0.0);
     const BatchEvaluable* batch = batchFacet(f);
+    Projector projector(constraints);
 
     for (int gen = 0;
          gen < options.generations && budgetLeft() && sigma > sigmaFloor;
@@ -101,8 +102,8 @@ cmaesSearch(const ScalarObjective& f, const ConstraintSet& constraints,
             for (std::size_t r = 0; r < n; ++r)
                 for (std::size_t c = 0; c < n; ++c)
                     y[r] += b.at(r, c) * d[c] * z[c];
-            cands[i] =
-                projectOntoConstraints(constraints, axpy(mean, sigma, y));
+            cands[i] = axpy(mean, sigma, y);
+            projector.project(&cands[i]);
             steps[i] = scale(1.0 / sigma, sub(cands[i], mean));
         }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/random.hh"
 #include "common/thread_pool.hh"
@@ -33,11 +34,13 @@ differentialEvolutionSearch(const ScalarObjective& f,
 
     // Member 0 is the caller's start; the rest sample the scaled
     // simplex (the multistart driver's diversity scheme) and repair.
+    Projector projector(constraints);
     std::vector<Vec> pop(np);
     pop[0] = x0;
-    for (std::size_t i = 1; i < np; ++i)
-        pop[i] = projectOntoConstraints(
-            constraints, rng.simplexPoint(n, options.scale));
+    for (std::size_t i = 1; i < np; ++i) {
+        pop[i] = rng.simplexPoint(n, options.scale);
+        projector.project(&pop[i]);
+    }
 
     Vec values(np, 0.0);
     if (!budgetLeft(np)) {
@@ -89,7 +92,8 @@ differentialEvolutionSearch(const ScalarObjective& f,
                     trial[k] = pop[r1][k] +
                                fw * (pop[r2][k] - pop[r3][k]);
             }
-            trials[i] = projectOntoConstraints(constraints, trial);
+            projector.project(&trial);
+            trials[i] = std::move(trial);
         }
 
         if (batch)

@@ -29,25 +29,23 @@ projectOne(const LinearConstraint& c, Vec* x)
         break;
     }
     if (shift != 0.0)
-        *x = axpy(*x, shift, c.coeffs);
+        for (std::size_t i = 0; i < x->size(); ++i)
+            (*x)[i] += shift * c.coeffs[i];
 }
 
 } // namespace
 
-Vec
-findFeasiblePoint(const ConstraintSet& constraints, const Vec& hint,
-                  double tol, int max_sweeps)
+void
+findFeasiblePoint(const ConstraintSet& constraints, Vec* x, double tol,
+                  int max_sweeps)
 {
-    Vec x = hint;
-    x.resize(constraints.numVars(), 0.0);
-
+    x->resize(constraints.numVars(), 0.0);
     for (int sweep = 0; sweep < max_sweeps; ++sweep) {
         for (const auto& c : constraints.constraints())
-            projectOne(c, &x);
-        if (constraints.maxViolation(x) <= tol)
+            projectOne(c, x);
+        if (constraints.maxViolation(*x) <= tol)
             break;
     }
-    return x;
 }
 
 } // namespace libra

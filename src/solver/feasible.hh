@@ -5,7 +5,7 @@
  * Each linear constraint admits a closed-form Euclidean projection
  * (hyperplane for equalities, half-space for inequalities); cycling those
  * projections converges to a point of the intersection whenever the
- * polyhedron is non-empty (von Neumann / Bregman). The QP solver uses the
+ * polyhedron is non-empty (von Neumann / Bregman). The projector uses the
  * result as its phase-1 starting point.
  */
 
@@ -18,17 +18,19 @@
 namespace libra {
 
 /**
- * Find a point satisfying @p constraints, starting near @p hint.
+ * Move @p x to a point satisfying @p constraints, starting from where
+ * it is (any width; it is resized to the constraint width).
  *
  * @param constraints Polyhedron to land in.
- * @param hint        Starting point (any vector of the right width).
+ * @param x           Starting point on entry, the result on return.
  * @param tol         Target max violation.
  * @param max_sweeps  Cyclic projection sweeps before giving up.
- * @return Point with maxViolation <= tol when the set is non-empty;
- *         otherwise the best point found (callers must re-check).
+ *
+ * On return maxViolation(*x) <= tol when the set is non-empty;
+ * otherwise *x is the best point found (callers must re-check).
  */
-Vec findFeasiblePoint(const ConstraintSet& constraints, const Vec& hint,
-                      double tol = 1e-10, int max_sweeps = 20000);
+void findFeasiblePoint(const ConstraintSet& constraints, Vec* x,
+                       double tol = 1e-10, int max_sweeps = 20000);
 
 } // namespace libra
 

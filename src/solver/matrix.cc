@@ -72,6 +72,14 @@ Matrix::identity(std::size_t n)
 }
 
 void
+Matrix::reset(std::size_t rows, std::size_t cols)
+{
+    rows_ = rows;
+    cols_ = cols;
+    data_.assign(rows * cols, 0.0);
+}
+
+void
 Matrix::appendRow(const Vec& row)
 {
     if (rows_ == 0 && cols_ == 0)
@@ -130,59 +138,58 @@ Matrix::transposed() const
 Vec
 Matrix::solve(const Vec& b, bool* ok) const
 {
+    Matrix a = *this;
+    Vec x = b;
+    bool solved = a.solveInPlace(&x);
+    if (ok)
+        *ok = solved;
+    if (!solved)
+        return Vec(rows_, 0.0);
+    return x;
+}
+
+bool
+Matrix::solveInPlace(Vec* b)
+{
     if (rows_ != cols_)
         panic("solve on non-square matrix ", rows_, "x", cols_);
     const std::size_t n = rows_;
-    Matrix a = *this;
-    Vec x = b;
-    std::vector<std::size_t> perm(n);
-    for (std::size_t i = 0; i < n; ++i)
-        perm[i] = i;
+    Vec& x = *b;
 
-    bool singular = false;
     for (std::size_t col = 0; col < n; ++col) {
         // Partial pivot.
         std::size_t pivot = col;
-        double best = std::abs(a.at(col, col));
+        double best = std::abs(at(col, col));
         for (std::size_t r = col + 1; r < n; ++r) {
-            double v = std::abs(a.at(r, col));
+            double v = std::abs(at(r, col));
             if (v > best) {
                 best = v;
                 pivot = r;
             }
         }
-        if (best < 1e-300) {
-            singular = true;
-            break;
-        }
+        if (best < 1e-300)
+            return false;
         if (pivot != col) {
             for (std::size_t j = 0; j < n; ++j)
-                std::swap(a.at(col, j), a.at(pivot, j));
+                std::swap(at(col, j), at(pivot, j));
             std::swap(x[col], x[pivot]);
         }
         for (std::size_t r = col + 1; r < n; ++r) {
-            double f = a.at(r, col) / a.at(col, col);
+            double f = at(r, col) / at(col, col);
             if (f == 0.0)
                 continue;
             for (std::size_t j = col; j < n; ++j)
-                a.at(r, j) -= f * a.at(col, j);
+                at(r, j) -= f * at(col, j);
             x[r] -= f * x[col];
         }
-    }
-    if (singular) {
-        if (ok)
-            *ok = false;
-        return Vec(n, 0.0);
     }
     for (std::size_t ri = n; ri-- > 0;) {
         double s = x[ri];
         for (std::size_t j = ri + 1; j < n; ++j)
-            s -= a.at(ri, j) * x[j];
-        x[ri] = s / a.at(ri, ri);
+            s -= at(ri, j) * x[j];
+        x[ri] = s / at(ri, ri);
     }
-    if (ok)
-        *ok = true;
-    return x;
+    return true;
 }
 
 Vec

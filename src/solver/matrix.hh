@@ -1,6 +1,6 @@
 /**
  * @file
- * Small dense linear-algebra kernel backing the QP solver.
+ * Small dense linear-algebra kernel backing the constraint projector.
  *
  * LIBRA's optimization problems are tiny (a handful of network dimensions
  * plus a handful of constraints), so a straightforward row-major matrix
@@ -58,6 +58,15 @@ class Matrix
         return data_[r * cols_ + c];
     }
 
+    /** Row @p r as a pointer to its cols() contiguous entries. */
+    const double* row(std::size_t r) const { return data_.data() + r * cols_; }
+
+    /**
+     * Become a rows x cols zero matrix, reusing the storage when it is
+     * large enough.
+     */
+    void reset(std::size_t rows, std::size_t cols);
+
     /** Append a row; the matrix must be empty or have matching width. */
     void appendRow(const Vec& row);
 
@@ -80,6 +89,15 @@ class Matrix
      * @return Solution vector (garbage when !ok).
      */
     Vec solve(const Vec& b, bool* ok = nullptr) const;
+
+    /**
+     * solve() on the caller's buffers: overwrites this matrix with its
+     * elimination factors and @p b with the solution.
+     *
+     * @return false when the matrix is numerically singular (both
+     *         buffers then hold garbage).
+     */
+    bool solveInPlace(Vec* b);
 
     /**
      * Minimum-norm-biased least-squares solve via ridge-regularized

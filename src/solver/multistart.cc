@@ -123,13 +123,15 @@ multistartMinimize(const ScalarObjective& f,
 
     // Start 0 is the caller's hint; start s > 0 draws from its own
     // RNG stream so the point set is independent of evaluation order.
+    Projector projector(constraints);
     std::vector<Vec> starts;
-    starts.push_back(projectOntoConstraints(constraints, hint));
+    starts.push_back(hint);
     for (int s = 0; s < options.starts; ++s) {
         Rng rng(mixSeed(options.seed, static_cast<std::uint64_t>(s)));
-        starts.push_back(projectOntoConstraints(
-            constraints, rng.simplexPoint(n, total)));
+        starts.push_back(rng.simplexPoint(n, total));
     }
+    for (Vec& start : starts)
+        projector.project(&start);
 
     // Restarts are independent; fan out on the pool. Results land in
     // per-start slots, so the reduction below is order-independent.

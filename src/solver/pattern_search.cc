@@ -20,15 +20,17 @@ patternSearch(const ScalarObjective& f, const ConstraintSet& constraints,
 
     SearchResult best{x0, f(x0), 0};
     int evals = 0;
+    Projector projector(constraints);
+    Vec cand;
 
     while (step > minStep && evals < options.maxIterations) {
         bool improved = false;
         for (std::size_t i = 0; i < n && evals < options.maxIterations;
              ++i) {
             for (double sign : {+1.0, -1.0}) {
-                Vec cand = best.x;
+                cand = best.x;
                 cand[i] += sign * step;
-                cand = projectOntoConstraints(constraints, cand);
+                projector.project(&cand);
                 double fv = f(cand);
                 ++evals;
                 if (fv < best.value) {

@@ -9,103 +9,138 @@
 
 namespace libra {
 
-QpSolver::QpSolver(Matrix q, Vec c, Matrix a_eq, Vec b_eq, Matrix g_le,
-                   Vec h_le, QpOptions options)
-    : q_(std::move(q)), c_(std::move(c)), aEq_(std::move(a_eq)),
-      bEq_(std::move(b_eq)), gLe_(std::move(g_le)), hLe_(std::move(h_le)),
-      options_(options)
-{}
+namespace {
 
-bool
-QpSolver::solveKkt(const Vec& x, const std::vector<std::size_t>& working,
-                   Vec* p, Vec* ineq_multipliers) const
+/** Working-set tolerance and iteration cap of the active-set method. */
+constexpr double kTol = 1e-9;
+constexpr int kMaxIterations = 200;
+
+/** dot() of a matrix row with the first @p n entries of @p v. */
+double
+rowDot(const double* row, const double* v, std::size_t n)
+{
+    double s = 0.0;
+    for (std::size_t j = 0; j < n; ++j)
+        s += row[j] * v[j];
+    return s;
+}
+
+} // namespace
+
+Projector::Projector(const ConstraintSet& constraints)
+    : constraints_(constraints)
+{
+    constraints_.canonical(&aEq_, &bEq_, &gLe_, &hLe_);
+    const std::size_t n = constraints_.numVars();
+    const std::size_t maxDim = n + aEq_.rows() + gLe_.rows();
+    c_.resize(n);
+    start_.resize(n);
+    working_.reserve(gLe_.rows());
+    kkt_.reset(maxDim, maxDim);
+    kktRhs_.reserve(maxDim);
+}
+
+void
+Projector::assembleKkt(const Vec& x)
 {
     const std::size_t n = c_.size();
     const std::size_t me = aEq_.rows();
-    const std::size_t mw = working.size();
+    const std::size_t mw = working_.size();
     const std::size_t dim = n + me + mw;
 
-    // KKT system:
-    //   [ Q   A'  Gw' ] [ p   ]   [ -(Qx + c) ]
-    //   [ A   0   0   ] [ lam ] = [ 0         ]
-    //   [ Gw  0   0   ] [ mu  ]   [ 0         ]
-    Matrix k(dim, dim);
-    Vec rhs(dim, 0.0);
+    // KKT system of min 1/2 x'x + c'x (Q = I):
+    //   [ I   A'  Gw' ] [ p   ]   [ -(x + c) ]
+    //   [ A   0   0   ] [ lam ] = [ 0        ]
+    //   [ Gw  0   0   ] [ mu  ]   [ 0        ]
+    kkt_.reset(dim, dim);
+    kktRhs_.assign(dim, 0.0);
 
     for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            k.at(i, j) = q_.at(i, j);
+        kkt_.at(i, i) = 1.0;
     for (std::size_t r = 0; r < me; ++r)
         for (std::size_t j = 0; j < n; ++j) {
-            k.at(n + r, j) = aEq_.at(r, j);
-            k.at(j, n + r) = aEq_.at(r, j);
+            kkt_.at(n + r, j) = aEq_.at(r, j);
+            kkt_.at(j, n + r) = aEq_.at(r, j);
         }
     for (std::size_t wi = 0; wi < mw; ++wi) {
-        std::size_t r = working[wi];
+        const double* row = gLe_.row(working_[wi]);
         for (std::size_t j = 0; j < n; ++j) {
-            k.at(n + me + wi, j) = gLe_.at(r, j);
-            k.at(j, n + me + wi) = gLe_.at(r, j);
+            kkt_.at(n + me + wi, j) = row[j];
+            kkt_.at(j, n + me + wi) = row[j];
         }
     }
 
-    Vec qx = q_.mul(x);
-    for (std::size_t i = 0; i < n; ++i)
-        rhs[i] = -(qx[i] + c_[i]);
-
-    bool ok = false;
-    Vec z = k.solve(rhs, &ok);
-    if (!ok) {
-        // Degenerate working set (linearly dependent rows): regularized
-        // least squares still yields a usable step direction.
-        z = k.solveLeastSquares(rhs);
+    for (std::size_t i = 0; i < n; ++i) {
+        // The whole row of I x, not x[i] alone: the sum turns -0.0
+        // into 0.0, and 0.0 * inf in another column gives NaN.
+        double qx = 0.0;
+        for (std::size_t j = 0; j < n; ++j)
+            qx += (i == j ? 1.0 : 0.0) * x[j];
+        kktRhs_[i] = -(qx + c_[i]);
     }
-
-    p->assign(z.begin(), z.begin() + static_cast<long>(n));
-    ineq_multipliers->assign(z.begin() + static_cast<long>(n + me),
-                             z.end());
-    return true;
 }
 
-QpResult
-QpSolver::solve(const Vec& x0) const
+void
+Projector::solveKkt(const Vec& x)
 {
-    const std::size_t n = c_.size();
-    const double tol = options_.tol;
-    Vec x = x0;
-
-    // Initialize the working set with inequality rows active at x0.
-    std::vector<std::size_t> working;
-    for (std::size_t r = 0; r < gLe_.rows(); ++r) {
-        Vec row(n);
-        for (std::size_t j = 0; j < n; ++j)
-            row[j] = gLe_.at(r, j);
-        if (std::abs(dot(row, x) - hLe_[r]) <= 1e-8)
-            working.push_back(r);
+    assembleKkt(x);
+    if (!kkt_.solveInPlace(&kktRhs_)) {
+        // Degenerate working set (linearly dependent rows): regularized
+        // least squares on the unfactored system still yields a usable
+        // step direction.
+        assembleKkt(x);
+        kktRhs_ = kkt_.solveLeastSquares(kktRhs_);
     }
+}
 
-    QpResult result;
-    for (int iter = 0; iter < options_.maxIterations; ++iter) {
-        result.iterations = iter + 1;
-        Vec p, mu;
-        solveKkt(x, working, &p, &mu);
+void
+Projector::project(Vec* xp)
+{
+    Vec& x = *xp;
+    const std::size_t n = constraints_.numVars();
+    x.resize(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+        c_[i] = -1.0 * x[i];
 
-        if (normInf(p) <= tol) {
+    // Phase 1: alternating projections reach a feasible neighbourhood.
+    findFeasiblePoint(constraints_, &x);
+    if (!constraints_.feasible(x, 1e-5)) {
+        fatal("constraint set is infeasible (residual ",
+              constraints_.maxViolation(x), ")");
+    }
+    start_ = x;
+
+    // Phase 2: active-set iterations from the feasible start, with the
+    // working set initialized to the inequality rows active there.
+    const std::size_t me = aEq_.rows();
+    working_.clear();
+    for (std::size_t r = 0; r < gLe_.rows(); ++r)
+        if (std::abs(rowDot(gLe_.row(r), x.data(), n) - hLe_[r]) <= 1e-8)
+            working_.push_back(r);
+
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
+        solveKkt(x);
+        const double* p = kktRhs_.data();
+        const double* mu = kktRhs_.data() + n + me;
+
+        double pNorm = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            pNorm = std::max(pNorm, std::abs(p[i]));
+        if (pNorm <= kTol) {
             // Stationary on the working set; check dual feasibility.
             double muMin = 0.0;
             std::size_t drop = 0;
             bool found = false;
-            for (std::size_t wi = 0; wi < mu.size(); ++wi) {
-                if (mu[wi] < muMin - tol) {
+            for (std::size_t wi = 0; wi < working_.size(); ++wi) {
+                if (mu[wi] < muMin - kTol) {
                     muMin = mu[wi];
                     drop = wi;
                     found = true;
                 }
             }
-            if (!found) {
-                result.converged = true;
+            if (!found)
                 break;
-            }
-            working.erase(working.begin() + static_cast<long>(drop));
+            working_.erase(working_.begin() + static_cast<long>(drop));
             continue;
         }
 
@@ -113,15 +148,13 @@ QpSolver::solve(const Vec& x0) const
         double alpha = 1.0;
         std::size_t blocking = std::numeric_limits<std::size_t>::max();
         for (std::size_t r = 0; r < gLe_.rows(); ++r) {
-            if (std::find(working.begin(), working.end(), r) !=
-                working.end())
+            if (std::find(working_.begin(), working_.end(), r) !=
+                working_.end())
                 continue;
-            Vec row(n);
-            for (std::size_t j = 0; j < n; ++j)
-                row[j] = gLe_.at(r, j);
-            double gp = dot(row, p);
-            if (gp > tol) {
-                double slack = hLe_[r] - dot(row, x);
+            const double* row = gLe_.row(r);
+            double gp = rowDot(row, p, n);
+            if (gp > kTol) {
+                double slack = hLe_[r] - rowDot(row, x.data(), n);
                 double a = slack / gp;
                 if (a < alpha) {
                     alpha = std::max(0.0, a);
@@ -130,40 +163,22 @@ QpSolver::solve(const Vec& x0) const
             }
         }
 
-        x = axpy(x, alpha, p);
+        for (std::size_t i = 0; i < n; ++i)
+            x[i] += alpha * p[i];
         if (blocking != std::numeric_limits<std::size_t>::max())
-            working.push_back(blocking);
+            working_.push_back(blocking);
     }
 
-    result.x = x;
-    Vec qx = q_.mul(x);
-    result.objective = 0.5 * dot(x, qx) + dot(c_, x);
-    return result;
+    if (!constraints_.feasible(x, 1e-6))
+        x = start_;
 }
 
 Vec
 projectOntoConstraints(const ConstraintSet& constraints, const Vec& point)
 {
-    const std::size_t n = constraints.numVars();
-
-    // Phase 1: alternating projections reach a feasible neighbourhood.
-    Vec start = findFeasiblePoint(constraints, point);
-    if (!constraints.feasible(start, 1e-5)) {
-        fatal("constraint set is infeasible (residual ",
-              constraints.maxViolation(start), ")");
-    }
-
-    Matrix aEq, gLe;
-    Vec bEq, hLe;
-    constraints.canonical(&aEq, &bEq, &gLe, &hLe);
-
-    // Phase 2: exact projection: min 1/2||x||^2 - point'x.
-    QpSolver qp(Matrix::identity(n), scale(-1.0, point), aEq, bEq, gLe,
-                hLe);
-    QpResult res = qp.solve(start);
-    if (constraints.feasible(res.x, 1e-6))
-        return res.x;
-    return start;
+    Vec x = point;
+    Projector(constraints).project(&x);
+    return x;
 }
 
 } // namespace libra

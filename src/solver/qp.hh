@@ -1,76 +1,80 @@
 /**
  * @file
- * Primal active-set solver for small convex quadratic programs.
+ * Euclidean projection onto the linear design-constraint polyhedron.
  *
- *     minimize   1/2 x'Qx + c'x
+ *     minimize   1/2 ||x - point||^2
  *     subject to A x  = b
  *                G x <= h
  *
  * This is the in-repo replacement for the commercial QP solver the paper
  * uses (Gurobi): LIBRA's bandwidth-allocation searches only ever need
- * projections onto the linear design-constraint polyhedron (Q = I) and
- * small quadratic subproblems, both of which this solver handles exactly.
+ * projections onto the polyhedron of the designer's constraints, which a
+ * primal active-set method solves exactly.
  */
 
 #ifndef LIBRA_SOLVER_QP_HH
 #define LIBRA_SOLVER_QP_HH
+
+#include <cstddef>
+#include <vector>
 
 #include "solver/constraint_set.hh"
 #include "solver/matrix.hh"
 
 namespace libra {
 
-/** Outcome of a QP solve. */
-struct QpResult
-{
-    Vec x;                  ///< Final iterate.
-    double objective = 0.0; ///< 1/2 x'Qx + c'x at x.
-    bool converged = false; ///< KKT conditions met within tolerance.
-    int iterations = 0;     ///< Active-set iterations used.
-};
-
-/** Working-set tolerance and iteration cap for the QP solver. */
-struct QpOptions
-{
-    double tol = 1e-9;
-    int maxIterations = 200;
-};
-
-/** Convex QP over explicit matrices. Q must be positive definite. */
-class QpSolver
+/**
+ * Projection onto one fixed ConstraintSet, built once per search and
+ * called once per step. The canonical rows are split once at
+ * construction, and every buffer a projection needs is scratch reused
+ * across calls, so a projection allocates nothing (barring the
+ * least-squares fallback of a degenerate working set).
+ *
+ * Holds mutable scratch: one Projector per thread.
+ */
+class Projector
 {
   public:
-    QpSolver(Matrix q, Vec c, Matrix a_eq, Vec b_eq, Matrix g_le, Vec h_le,
-             QpOptions options = {});
+    explicit Projector(const ConstraintSet& constraints);
 
     /**
-     * Run the active-set method from a feasible start.
+     * Replace @p x by its Euclidean projection: alternating projections
+     * reach a feasible start (findFeasiblePoint), then the active-set
+     * method solves the projection QP exactly from there.
      *
-     * @param x0 Feasible initial point (see findFeasiblePoint()).
+     * @throws FatalError when the constraint set is (numerically)
+     *         infeasible.
      */
-    QpResult solve(const Vec& x0) const;
+    void project(Vec* x);
 
   private:
+    /** Fill kkt_ and kktRhs_ with the KKT system of the working set. */
+    void assembleKkt(const Vec& x);
+
     /**
      * Solve the equality-constrained subproblem on the working set:
-     * step p and multipliers for the rows in @p working.
+     * kktRhs_ receives the step (first n entries) and, after the
+     * equality multipliers, one multiplier per working row.
      */
-    bool solveKkt(const Vec& x, const std::vector<std::size_t>& working,
-                  Vec* p, Vec* ineq_multipliers) const;
+    void solveKkt(const Vec& x);
 
-    Matrix q_;
-    Vec c_;
-    Matrix aEq_;
+    ConstraintSet constraints_;
+    Matrix aEq_; ///< Equality rows A (x = b).
     Vec bEq_;
-    Matrix gLe_;
+    Matrix gLe_; ///< Inequality rows G in Le form (x <= h).
     Vec hLe_;
-    QpOptions options_;
+
+    // Per-call scratch.
+    Vec c_;                            ///< Linear term: -point.
+    Vec start_;                        ///< Phase-1 feasible point.
+    std::vector<std::size_t> working_; ///< Active rows of G.
+    Matrix kkt_;
+    Vec kktRhs_;
 };
 
 /**
- * Euclidean projection of @p point onto the polyhedron described by
- * @p constraints: argmin ||x - point||^2 s.t. constraints. Solved as a QP
- * with Q = I starting from an alternating-projection feasible point.
+ * One-off Euclidean projection of @p point onto @p constraints; a
+ * search that projects repeatedly holds a Projector instead.
  *
  * @throws FatalError when the constraint set is (numerically) infeasible.
  */

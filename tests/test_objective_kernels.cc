@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -316,10 +317,38 @@ expectSameResult(const SearchResult& a, const SearchResult& b)
     EXPECT_EQ(a.iterations, b.iterations);
 }
 
+/** Forwards to a batch facet and counts its scalar evaluations. */
+class CountingBatch final : public BatchEvaluable
+{
+  public:
+    explicit CountingBatch(const BatchEvaluable& inner) : inner_(inner) {}
+
+    double
+    evaluateOne(const Vec& x) const override
+    {
+        ++scalarCalls;
+        return inner_.evaluateOne(x);
+    }
+
+    void
+    evaluateBatch(const Vec* xs, std::size_t n, double* out) const override
+    {
+        inner_.evaluateBatch(xs, n, out);
+    }
+
+    mutable int scalarCalls = 0;
+
+  private:
+    const BatchEvaluable& inner_;
+};
+
 /**
  * The solvers that recover the batch facet must return the same x,
  * value, and iteration count, bit for bit, as on the same objective
- * wrapped in a plain lambda (no facet, one call per point).
+ * wrapped in a plain lambda (no facet, one call per point). Subgradient
+ * runs cover each exit of its loop: the iteration cap (1, 2, and the
+ * default 600) and patience (1 and the default). Step scores ride the
+ * next gradient batch, so only x0 and the last iterate are scored alone.
  */
 TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
 {
@@ -352,8 +381,21 @@ TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
     for (double& v : x0)
         v *= total / sum;
 
-    expectSameResult(projectedSubgradient(faceted, cs, x0),
-                     projectedSubgradient(plain, cs, x0));
+    std::vector<SubgradientOptions> runs(4);
+    runs[1].maxIterations = 1;
+    runs[2].maxIterations = 2;
+    runs[3].patience = 1;
+    for (const SubgradientOptions& run : runs) {
+        SCOPED_TRACE("maxIterations " + std::to_string(run.maxIterations) +
+                     " patience " + std::to_string(run.patience));
+        auto counting = std::make_shared<CountingBatch>(*batchFacet(faceted));
+        ScalarObjective counted = BatchableObjective{counting};
+        SearchResult r = projectedSubgradient(counted, cs, x0, run);
+        expectSameResult(r, projectedSubgradient(plain, cs, x0, run));
+        // x0, plus the last iterate when the cap ends the loop.
+        EXPECT_EQ(counting->scalarCalls,
+                  r.iterations == run.maxIterations ? 2 : 1);
+    }
     expectSameResult(patternSearch(faceted, cs, x0),
                      patternSearch(plain, cs, x0));
 }

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "core/framework.hh"
@@ -102,6 +105,38 @@ TEST(ParallelDeterminism, CmaesAndDePipelinesAreThreadCountInvariant)
             cfg.search.pipeline = {solver, "pattern-search"};
             cfg.objective = OptimizationObjective::PerfPerCostOpt;
             return opt.optimize({{w, 1.0}}, cfg);
+        });
+    }
+}
+
+/**
+ * Parsed design constraints (an ordering and a cap) make the projector
+ * run real active-set iterations; each search holds its own projector
+ * scratch, so the designs stay bit-identical at any thread count for
+ * the default pipeline and for the batched global strategies.
+ */
+TEST(ParallelDeterminism, ParsedConstraintsAreThreadCountInvariant)
+{
+    Network net = Network::parse("RI(4)_FC(2)_RI(2)_SW(4)");
+    ASSERT_EQ(net.numDims(), 4u);
+    Workload w = wl::resnet50(net.npus());
+
+    const std::vector<std::vector<std::string>> pipelines = {
+        {}, {"cmaes", "de"}};
+    for (const auto& pipeline : pipelines) {
+        SCOPED_TRACE(pipeline.empty() ? "default" : "cmaes,de");
+        expectIdenticalAcrossThreadCounts([&] {
+            BwOptimizer opt(net, CostModel::defaultModel());
+            OptimizerConfig cfg;
+            cfg.totalBw = 400.0;
+            cfg.search.starts = 3;
+            cfg.search.pipeline = pipeline;
+            cfg.constraints = {"B1 >= B2 >= B3", "B4 <= 150"};
+            OptimizationResult r = opt.optimize({{w, 1.0}}, cfg);
+            EXPECT_GE(r.bw[0], r.bw[1] - 1e-6);
+            EXPECT_GE(r.bw[1], r.bw[2] - 1e-6);
+            EXPECT_LE(r.bw[3], 150.0 + 1e-6);
+            return r;
         });
     }
 }
