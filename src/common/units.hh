@@ -4,13 +4,15 @@
  *
  * LIBRA's analytical models operate on continuous quantities (bytes,
  * seconds, GB/s, dollars), so all units are plain doubles with descriptive
- * aliases. The discrete-event simulator uses integer picosecond ticks
- * (see sim/event_queue.hh).
+ * aliases. The chunk-pipeline simulator (sim/chunk_timeline.hh) orders
+ * its events by integer picosecond ticks, so event order is exact and
+ * runs are bit-reproducible.
  */
 
 #ifndef LIBRA_COMMON_UNITS_HH
 #define LIBRA_COMMON_UNITS_HH
 
+#include <cmath>
 #include <cstdint>
 
 namespace libra {
@@ -29,6 +31,25 @@ using Dollars = double;
 
 /** Floating-point operations. */
 using Flops = double;
+
+/** Simulation time in picoseconds. */
+using Tick = std::uint64_t;
+
+constexpr double kTicksPerSecond = 1e12;
+
+/** Seconds -> ticks (rounded). */
+inline Tick
+toTicks(Seconds s)
+{
+    return static_cast<Tick>(std::llround(s * kTicksPerSecond));
+}
+
+/** Ticks -> seconds. */
+inline Seconds
+toSeconds(Tick t)
+{
+    return static_cast<Seconds>(t) / kTicksPerSecond;
+}
 
 constexpr double kKilo = 1e3;
 constexpr double kMega = 1e6;

@@ -19,9 +19,9 @@
  *    ranked by a cheap screening pass (few starts, capped objective
  *    evaluations); only the surviving fraction of each objective
  *    stratum is promoted to the next round and, finally, to the
- *    full-budget optimization. Reaches the exhaustive winner with a
- *    fraction of the full-budget optimize() calls (bench/micro_explore
- *    tracks this in BENCH_explore.json).
+ *    full-budget optimization. Reaches the exhaustive winner with at
+ *    most half of the full-budget optimize() calls (pinned by
+ *    ExploreStrategies.PruneFindsExhaustiveWinnerWithFewerFullRuns).
  *
  * Study files select strategies with `EXPLORE <name>[,key=value...]`
  * and the CLI with `--explore` / `list-explorers`.

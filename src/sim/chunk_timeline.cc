@@ -65,7 +65,8 @@ struct DimState
 
 /**
  * One scheduled stage end: @c chunk leaves @c dim at @c when. Ordered
- * by (when, seq), the EventQueue rule.
+ * by (when, seq): earlier tick first, equal ticks FIFO by scheduling
+ * order.
  */
 struct Event
 {
@@ -108,11 +109,12 @@ struct Workspace
 /**
  * One discrete-event run over @p jobs.
  *
- * Event order is the EventQueue's (when, seq) order with seq the
- * scheduling order. Every release is scheduled before the first stage
- * end, so releases take the lowest seqs: they sit in their own array,
- * stably sorted by time, and win ties against the heap. The heap then
- * holds only in-flight stage ends, at most one per dimension.
+ * Events fire in (when, seq) order: earlier tick first, and equal
+ * ticks FIFO by seq, the scheduling order. Every release is scheduled
+ * before the first stage end, so releases take the lowest seqs: they
+ * sit in their own array, stably sorted by time, and win ties against
+ * the heap. The heap then holds only in-flight stage ends, at most one
+ * per dimension.
  */
 class Engine
 {

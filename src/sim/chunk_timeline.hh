@@ -21,10 +21,11 @@
  * The engine is a flat event loop: a (when, seq)-ordered heap of POD
  * stage-end events beside a time-sorted release array, POD chunk
  * records whose span lists are slices of two flat arrays, and one
- * vector-backed FIFO per dimension, all reused per thread. It follows
- * the EventQueue conventions (picosecond ticks, ties broken by
- * scheduling order); tests/test_chunk_timeline.cc pins its output bits
- * with a seeded digest.
+ * vector-backed FIFO per dimension, all reused per thread. Events fire
+ * in (when, seq) order: integer picosecond ticks first, then FIFO by
+ * scheduling order, so runs are bit-reproducible;
+ * tests/test_chunk_timeline.cc pins its output bits with a seeded
+ * digest.
  */
 
 #ifndef LIBRA_SIM_CHUNK_TIMELINE_HH
@@ -35,7 +36,6 @@
 #include <vector>
 
 #include "collective/multi_rail.hh"
-#include "sim/event_queue.hh"
 #include "topology/network.hh"
 
 namespace libra {

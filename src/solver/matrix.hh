@@ -25,9 +25,6 @@ double dot(const Vec& a, const Vec& b);
 /** Euclidean norm. */
 double norm(const Vec& a);
 
-/** Infinity norm. */
-double normInf(const Vec& a);
-
 /** a + s*b, elementwise. */
 Vec axpy(const Vec& a, double s, const Vec& b);
 
@@ -72,9 +69,6 @@ class Matrix
 
     /** Matrix-vector product. */
     Vec mul(const Vec& x) const;
-
-    /** Transposed matrix-vector product. */
-    Vec mulTransposed(const Vec& x) const;
 
     /** Matrix-matrix product. */
     Matrix mul(const Matrix& other) const;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/thread_pool.hh"
 #include "solver/pattern_search.hh"
@@ -157,6 +158,13 @@ multistartMinimize(const ScalarObjective& f,
             best.x = r.x;
         }
     }
+    // Every start scored +inf (or NaN, or ended infeasible): an
+    // objective that overflows everywhere, e.g. a workload weight near
+    // DBL_MAX. There is no point to polish or report.
+    if (best.x.empty())
+        fatal("no start reached a finite objective value (every one of ",
+              starts.size(), " starts scored inf or NaN, or ended "
+              "infeasible)");
 
     // Final polish from the overall winner. The polish is one extra
     // budgeted stage: without the cap it could spend up to its 4000

@@ -1,6 +1,7 @@
 #include "topology/network.hh"
 
 #include <cctype>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -27,9 +28,15 @@ Network::Network(std::vector<NetworkDim> dims) : dims_(std::move(dims))
 {
     if (dims_.empty())
         fatal("network must have at least one dimension");
+    // npus() and prefixProduct() multiply the sizes as long; reject a
+    // shape whose product does not fit rather than let it wrap.
+    long npus = 1;
     for (const auto& d : dims_) {
         if (d.size < 2)
             fatal("network dimension size must be >= 2, got ", d.size);
+        if (__builtin_mul_overflow(npus, static_cast<long>(d.size), &npus))
+            fatal("network has too many NPUs (the product of its "
+                  "dimension sizes overflows)");
     }
     assignLevels();
 }
@@ -47,6 +54,27 @@ Network::assignLevels()
                                        : PhysicalLevel::Chiplet;
     }
 }
+
+namespace {
+
+/**
+ * The digit run text[begin, end) as an int.
+ * @throws FatalError when it exceeds INT_MAX.
+ */
+int
+parseDigits(const std::string& text, std::size_t begin, std::size_t end)
+{
+    long long v = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+        v = v * 10 + (text[i] - '0');
+        if (v > std::numeric_limits<int>::max())
+            fatal("network '", text, "': number '",
+                  text.substr(begin, end - begin), "' is too large");
+    }
+    return static_cast<int>(v);
+}
+
+} // namespace
 
 Network
 Network::parse(const std::string& text)
@@ -70,7 +98,7 @@ Network::parse(const std::string& text)
         if (numStart == pos)
             fatal("network '", text, "': expected size after '(', dim ",
                   dims.size() + 1);
-        int size = std::stoi(text.substr(numStart, pos - numStart));
+        int size = parseDigits(text, numStart, pos);
         int levels = 1;
         if (pos < text.size() && text[pos] == ':') {
             ++pos;
@@ -81,7 +109,7 @@ Network::parse(const std::string& text)
             if (lvlStart == pos)
                 fatal("network '", text,
                       "': expected hierarchy depth after ':'");
-            levels = std::stoi(text.substr(lvlStart, pos - lvlStart));
+            levels = parseDigits(text, lvlStart, pos);
             if (levels < 1)
                 fatal("network '", text, "': hierarchy depth must be "
                       ">= 1");

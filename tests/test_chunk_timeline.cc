@@ -283,8 +283,8 @@ hexfloat(double v)
  * Bit-identity pin: FNV-1a over the hexfloat makespan, dimBusy and
  * every record of a seeded corpus. The corpus draws every collective
  * type, both schedule policies, partial-span efficiencies, multi-job
- * releases and 1-5 dims. The digest was computed on the
- * std::function/EventQueue engine; any rewrite of ChunkTimeline must
+ * releases and 1-5 dims. The digest was computed on the first,
+ * std::function-driven event engine; any rewrite of ChunkTimeline must
  * reproduce it bit for bit.
  */
 TEST(ChunkTimeline, SeededCorpusDigestIsPinned)

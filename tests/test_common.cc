@@ -33,6 +33,13 @@ TEST(Units, ComputeTime)
     EXPECT_DOUBLE_EQ(computeTime(234e12, 234.0), 1.0);
 }
 
+TEST(Units, TickConversions)
+{
+    EXPECT_EQ(toTicks(1.0), static_cast<Tick>(1e12));
+    EXPECT_EQ(toTicks(0.5e-12), 1u); // Rounds.
+    EXPECT_DOUBLE_EQ(toSeconds(2'000'000'000'000ull), 2.0);
+}
+
 TEST(Units, Constants)
 {
     EXPECT_DOUBLE_EQ(kGB, 1e9);

@@ -182,7 +182,10 @@ TEST(ExploreStrategies, PruneFindsExhaustiveWinnerWithFewerFullRuns)
     ExploreResult prune =
         exploreCandidates(candidates, "prune", sweep);
     ASSERT_EQ(prune.outcomes.size(), candidates.size());
-    EXPECT_LT(prune.fullRuns, exhaustive.fullRuns);
+    // The explore layer's efficiency claim: prune reaches the
+    // exhaustive winner with at most half the full-budget runs (here 2
+    // of 4; on the fig16 space, 12 of 24).
+    EXPECT_LE(2 * prune.fullRuns, exhaustive.fullRuns);
     EXPECT_EQ(prune.screenRuns, candidates.size());
     ASSERT_EQ(prune.winners.size(), 1u);
     EXPECT_EQ(prune.winners[0], exhaustive.winners[0]);

@@ -175,6 +175,25 @@ TEST(StudyConfig, NonFiniteValuesAreFatalAtTheRunLibraSeam)
     }
 }
 
+TEST(StudyConfig, ObjectiveInfiniteEverywhereIsFatalNotAPanic)
+{
+    // A finite weight near DBL_MAX passes validation, but every
+    // weighted time overflows to +inf, so no start has a finite value
+    // and there is no winner to polish.
+    LibraInputs in = parseStudyConfigString(
+        "NETWORK RI(4)_FC(8)\nTOTAL_BW 500\nWORKLOAD gpt3 WEIGHT 1e308\n");
+    setInformEnabled(false);
+    try {
+        runLibra(in);
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("no start reached a finite "
+                                             "objective value"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(StudyConfig, FiniteEdgeValuesStillRun)
 {
     // DOLLAR_CAP 0 means "no cap"; zero prices and weights are finite.

@@ -31,12 +31,8 @@ TEST(BuildingBlock, CanonicalAlgorithms)
               DimAlgorithm::HalvingDoubling);
 }
 
-TEST(BuildingBlock, LinkCounts)
+TEST(BuildingBlock, NeedsSwitch)
 {
-    EXPECT_EQ(linksPerNpu(UnitTopology::Ring, 8), 2);
-    EXPECT_EQ(linksPerNpu(UnitTopology::Ring, 2), 1);
-    EXPECT_EQ(linksPerNpu(UnitTopology::FullyConnected, 8), 7);
-    EXPECT_EQ(linksPerNpu(UnitTopology::Switch, 32), 1);
     EXPECT_TRUE(needsSwitch(UnitTopology::Switch));
     EXPECT_FALSE(needsSwitch(UnitTopology::Ring));
 }
@@ -92,6 +88,26 @@ TEST(Network, ParseErrors)
     EXPECT_THROW(Network::parse("RI(4)FC(8)"), FatalError);
     EXPECT_THROW(Network::parse("QQ(4)"), FatalError);
     EXPECT_THROW(Network::parse("RI(1)"), FatalError); // Size < 2.
+}
+
+TEST(Network, OversizedShapesAreFatal)
+{
+    // Digit runs past INT_MAX, in a size and in a hierarchy depth.
+    EXPECT_THROW(Network::parse("RI(99999999999999999999)"), FatalError);
+    EXPECT_THROW(Network::parse("RI(2147483648)"), FatalError);
+    EXPECT_THROW(Network::parse("RI(4)_SW(4:99999999999)"), FatalError);
+    // NPU counts past LONG_MAX: one would be signed-overflow UB, the
+    // other wraps to exactly 2^64 = 0 NPUs.
+    EXPECT_THROW(
+        Network::parse("RI(2147483647)_FC(2147483647)_SW(2147483647)"),
+        FatalError);
+    EXPECT_THROW(Network::parse("RI(65536)_FC(65536)_SW(65536)_RI(65536)"),
+                 FatalError);
+    // The largest values that fit still parse.
+    EXPECT_EQ(Network::parse("RI(2147483647)_FC(2147483647)").npus(),
+              2147483647L * 2147483647L);
+    EXPECT_EQ(Network::parse("SW(4:2147483647)").dim(0).switchLevels,
+              2147483647);
 }
 
 TEST(Network, PhysicalLevelsOutsideIn)

@@ -3,7 +3,7 @@
 #
 # Usage: tools/run_tier1.sh [--tsan|--asan|--ubsan] [extra cmake args...]
 #
-#   (default)  Release build in build/, full ctest suite, plus seven
+#   (default)  Release build in build/, full ctest suite, plus eight
 #              CLI smokes:
 #              - crossval: the chunk-sim timing backend end to end;
 #              - explore: explore-frontier under --explore prune;
@@ -18,6 +18,9 @@
 #              - kill-9 resume: a SIGKILLed cached run, rerun over the
 #                same cache, is byte-identical and serves every point
 #                that reached the cache from it (docs/ROBUSTNESS.md);
+#              - hostile study: oversized network shapes and an
+#                objective that overflows everywhere exit 1 with
+#                "fatal:", never 2 or a signal (docs/ROBUSTNESS.md);
 #              - simd: a LIBRA_SIMD=off build emits the default
 #                build's golden matrix JSON byte for byte
 #                (docs/PERF.md);
@@ -245,6 +248,30 @@ if [[ -z "${MODE}" ]]; then
   }
   kill9_resume batch "${SMOKE_DIR}/ksingle.json"
   kill9_resume prune "${SMOKE_DIR}/xfresh2.json" --explore prune
+
+  # Hostile-study smoke: each study must fail as a user error, exit
+  # code 1 with "fatal:" on stderr, never as an internal error (2) or
+  # a signal (docs/ROBUSTNESS.md, "Hostile and non-finite inputs").
+  hostile_study() {
+    local study="${SMOKE_DIR}/hostile.study" status=0
+    printf '%s\n' "$@" > "${study}"
+    "${BUILD_DIR}/libra_cli" "${study}" > /dev/null \
+      2> "${SMOKE_DIR}/hostile.err" || status=$?
+    if [[ "${status}" -ne 1 ]] || \
+      ! grep -q 'fatal:' "${SMOKE_DIR}/hostile.err"; then
+      echo "hostile-study smoke: '$*' exited ${status}, not 1 with fatal:" >&2
+      cat "${SMOKE_DIR}/hostile.err" >&2
+      exit 1
+    fi
+  }
+  for net in 'RI(99999999999999999999)' 'RI(4)_SW(4:99999999999)' \
+    'RI(2147483647)_FC(2147483647)_SW(2147483647)' \
+    'RI(65536)_FC(65536)_SW(65536)_RI(65536)'; do
+    hostile_study "NETWORK ${net}" 'TOTAL_BW 500' 'WORKLOAD gpt3'
+  done
+  hostile_study 'NETWORK RI(4)_FC(8)' 'TOTAL_BW 500' \
+    'WORKLOAD gpt3 WEIGHT 1e308'
+  echo "hostile-study smoke: 5 hostile studies exit 1 with fatal:"
 
   # SIMD smoke: the batched candidate-major kernels promise results
   # bit-identical to the scalar fallback (docs/PERF.md), so a golden
