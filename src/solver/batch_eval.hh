@@ -5,12 +5,18 @@
  * Every solver takes a type-erased `ScalarObjective`; the compiled
  * analytical objective (core/objective.cc) additionally evaluates
  * whole batches through the SIMD candidate-major kernels
- * (CompiledWorkload::estimateBatch): CMA-ES and DE populations, and
- * the 2n central-difference points of each subgradient step.
+ * (CompiledWorkload::estimateBatch): CMA-ES and DE populations, the
+ * 2n central-difference points of each subgradient step, and the
+ * speculative poll windows of pattern search and Nelder-Mead (every
+ * poll a sweep may still consume; the reflect/expand/contract triple,
+ * the initial simplex and the shrink).
  *
  * A batch is bit-identical per candidate to calling the scalar
  * objective — a pure evaluation-order-preserving reformulation — so
  * a solver may use it opportunistically without changing any result.
+ * Speculation is only worth it when a batch costs about one scalar
+ * call, so a solver without the facet scores exactly the points it
+ * consumes, one call each.
  *
  * The facet rides inside the `std::function`: `makeObjective` returns
  * a `BatchableObjective` wrapper, and solvers recover it with
@@ -72,6 +78,22 @@ batchFacet(const ScalarObjective& f)
 {
     const auto* wrapper = f.target<BatchableObjective>();
     return wrapper ? wrapper->impl.get() : nullptr;
+}
+
+/**
+ * Score @p xs[0, n) into @p out: one batch through @p batch when the
+ * facet is present, otherwise one @p f call per point, in order.
+ */
+inline void
+evaluatePoints(const ScalarObjective& f, const BatchEvaluable* batch,
+               const Vec* xs, std::size_t n, double* out)
+{
+    if (batch) {
+        batch->evaluateBatch(xs, n, out);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = f(xs[i]);
 }
 
 } // namespace libra

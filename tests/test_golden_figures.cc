@@ -11,11 +11,13 @@
  *  - fig14: Fig. 14 perf-per-cost gains
  *
  * Byte-pinned scenarios (outside goldenScenarioNames(), so they stay
- * out of `run-matrix golden`): fig09 and crossval, the two chunk-level
- * simulation consumers besides fig10. Their emitted JSON must equal
- * tests/golden/fig09.json and tests/golden/crossval.json byte for
- * byte, which holds any ChunkTimeline or chunk-sim memo rewrite to
- * bit identity.
+ * out of `run-matrix golden`): their emitted JSON must equal
+ * tests/golden/<name>.json byte for byte.
+ *  - fig09 and crossval, the two chunk-level simulation consumers
+ *    besides fig10: holds any ChunkTimeline or chunk-sim evaluation
+ *    rewrite to bit identity.
+ *  - fig15, fig17 and fig18: the 4-D and multi-workload solver
+ *    paths, which holds any solver or kernel rewrite to bit identity.
  *
  * Golden files live in tests/golden/<scenario>.json (path baked in via
  * LIBRA_GOLDEN_DIR). Regenerate after an intentional result change:
@@ -32,6 +34,8 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -227,11 +231,16 @@ TEST_F(GoldenFigures, HeadlineClaimsHold)
     }
 }
 
-TEST(GoldenBytes, ChunkSimScenariosMatchPinnedBytes)
+/**
+ * Run @p names and require each one's emitted JSON to equal its
+ * pinned tests/golden/<name>.json byte for byte.
+ */
+void
+expectPinnedBytes(const std::vector<std::string>& names)
 {
     setInformEnabled(false);
-    MatrixResult result = runScenarioMatrix({"fig09", "crossval"});
-    ASSERT_EQ(result.scenarios.size(), 2u);
+    MatrixResult result = runScenarioMatrix(names);
+    ASSERT_EQ(result.scenarios.size(), names.size());
     for (const ScenarioRun& run : result.scenarios) {
         SCOPED_TRACE(run.name);
         std::ifstream file(goldenPath(run.name), std::ios::binary);
@@ -251,6 +260,16 @@ TEST(GoldenBytes, ChunkSimScenariosMatchPinnedBytes)
                           << out;
         }
     }
+}
+
+TEST(GoldenBytes, ChunkSimScenariosMatchPinnedBytes)
+{
+    expectPinnedBytes({"fig09", "crossval"});
+}
+
+TEST(GoldenBytes, SolverScenariosMatchPinnedBytes)
+{
+    expectPinnedBytes({"fig15", "fig17", "fig18"});
 }
 
 } // namespace

@@ -7,16 +7,18 @@
  * *bit-identical* to the scalar SoA estimate() — not merely close.
  * These tests enforce that promise with std::bit_cast comparisons
  * across dimension counts (1, 2, 8, 15, 16, 17), both training loops,
- * and every batch size up to two full blocks of the widest kernel
- * plus one, so every padded remainder size is hit. The solvers that
- * use the facet must return bit-identical results with and without
- * it.
+ * and every batch size up to three full vectors of the widest kernel
+ * plus one, so every one- and two-vector block, padded or full, is
+ * hit. The solvers that
+ * use the facet (subgradient, pattern search, Nelder-Mead) must
+ * return bit-identical results with and without it.
  */
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include "core/objective.hh"
 #include "cost/cost_model.hh"
 #include "solver/batch_eval.hh"
+#include "solver/nelder_mead.hh"
 #include "solver/pattern_search.hh"
 #include "solver/subgradient.hh"
 #include "topology/zoo.hh"
@@ -137,14 +140,14 @@ constexpr std::size_t kMaxLaneWidth = 8;
 
 /**
  * estimateBatch must agree with per-candidate estimate() to the last
- * bit at every batch size from a lone candidate to two full blocks of
- * the widest kernel plus one: full blocks, every padded remainder
- * size, and the scalar lone remainder.
+ * bit at every batch size from a lone candidate to three full vectors
+ * of the widest kernel plus one: full two-vector blocks, every padded
+ * one- and two-vector remainder, and the scalar lone remainder.
  */
 TEST_P(ObjectiveKernels, BatchMatchesScalarBitExact)
 {
     Rng rng(0x5EED + GetParam().dims);
-    for (std::size_t n = 1; n <= 2 * kMaxLaneWidth + 1; ++n) {
+    for (std::size_t n = 1; n <= 3 * kMaxLaneWidth + 1; ++n) {
         std::vector<BwConfig> pool;
         for (std::size_t i = 0; i < n; ++i)
             pool.push_back(randomPoint(rng, net_->numDims()));
@@ -349,6 +352,11 @@ class CountingBatch final : public BatchEvaluable
  * runs cover each exit of its loop: the iteration cap (1, 2, and the
  * default 600) and patience (1 and the default). Step scores ride the
  * next gradient batch, so only x0 and the last iterate are scored alone.
+ * Pattern search runs under budgets of 1, 2, n (a cut in the middle
+ * of a sweep), 2n - 1, 2n, 2n + 1 and the default; Nelder-Mead under
+ * iteration caps of 1, 2 and the default. Both score every poll
+ * window in batches, so each makes at most two scalar calls (its
+ * start or its final projected point).
  */
 TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
 {
@@ -396,8 +404,30 @@ TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
         EXPECT_EQ(counting->scalarCalls,
                   r.iterations == run.maxIterations ? 2 : 1);
     }
-    expectSameResult(patternSearch(faceted, cs, x0),
-                     patternSearch(plain, cs, x0));
+
+    const int n = static_cast<int>(param.dims);
+    for (int budget : {1, 2, n, 2 * n - 1, 2 * n, 2 * n + 1,
+                       PatternSearchOptions{}.maxIterations}) {
+        SCOPED_TRACE("pattern search budget " + std::to_string(budget));
+        PatternSearchOptions ps;
+        ps.maxIterations = budget;
+        auto counting = std::make_shared<CountingBatch>(*batchFacet(faceted));
+        ScalarObjective counted = BatchableObjective{counting};
+        expectSameResult(patternSearch(counted, cs, x0, ps),
+                         patternSearch(plain, cs, x0, ps));
+        EXPECT_LE(counting->scalarCalls, 2);
+    }
+
+    for (int cap : {1, 2, NelderMeadOptions{}.maxIterations}) {
+        SCOPED_TRACE("nelder-mead maxIterations " + std::to_string(cap));
+        NelderMeadOptions nm;
+        nm.maxIterations = cap;
+        auto counting = std::make_shared<CountingBatch>(*batchFacet(faceted));
+        ScalarObjective counted = BatchableObjective{counting};
+        expectSameResult(nelderMead(counted, cs, x0, nm),
+                         nelderMead(plain, cs, x0, nm));
+        EXPECT_LE(counting->scalarCalls, 2);
+    }
 }
 
 std::vector<SolverCase>
@@ -420,6 +450,57 @@ solverGrid()
 INSTANTIATE_TEST_SUITE_P(Grid, FacetedSolvers,
                          ::testing::ValuesIn(solverGrid()),
                          solverCaseName);
+
+/** A batch facet over a plain function, one call per candidate. */
+class FunctionBatch final : public BatchEvaluable
+{
+  public:
+    explicit FunctionBatch(ScalarObjective f) : f_(std::move(f)) {}
+
+    double evaluateOne(const Vec& x) const override { return f_(x); }
+
+    void
+    evaluateBatch(const Vec* xs, std::size_t n, double* out) const override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = f_(xs[i]);
+    }
+
+  private:
+    ScalarObjective f_;
+};
+
+/**
+ * Minimizing the last coordinate improves only on the last poll of
+ * each sweep (-step along it), so every window runs to its end before
+ * its one improvement; the speculative search must still match the
+ * one-poll-at-a-time search bit for bit, budget cuts included.
+ */
+TEST(SpeculativePolls, ImprovementOnTheLastPollOfASweep)
+{
+    for (std::size_t dims : {1, 2, 3, 4}) {
+        SCOPED_TRACE(std::to_string(dims) + " dims");
+        ScalarObjective last = [](const Vec& x) { return x.back(); };
+        ScalarObjective faceted =
+            BatchableObjective{std::make_shared<FunctionBatch>(last)};
+        ConstraintSet cs(dims);
+        cs.addLowerBounds(1.0);
+        Vec x0(dims, 50.0);
+        const int n = static_cast<int>(dims);
+        for (int budget : {1, 2, 2 * n - 1, 2 * n, 2 * n + 1, 7 * n,
+                           PatternSearchOptions{}.maxIterations}) {
+            SCOPED_TRACE("budget " + std::to_string(budget));
+            PatternSearchOptions ps;
+            ps.maxIterations = budget;
+            SearchResult r = patternSearch(faceted, cs, x0, ps);
+            expectSameResult(r, patternSearch(last, cs, x0, ps));
+            // Budgets of 2n - 1 and up reach the last coordinate.
+            if (budget >= 2 * n - 1) {
+                EXPECT_LT(r.value, x0.back());
+            }
+        }
+    }
+}
 
 } // namespace
 } // namespace libra
