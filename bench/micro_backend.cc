@@ -6,12 +6,11 @@
  * axes that matter for study runtime:
  *
  *  - per-collective queries/sec of the analytical backend vs the
- *    chunk-sim backend, with the sim's per-thread memo cache cold
- *    (every query a fresh simulation) and warm (repeated identical
- *    collectives, the layered-workload pattern the memo exists for);
+ *    chunk-sim backend (every chunk-sim query a fresh simulation);
  *  - full objective evaluations/sec under each backend on a
  *    Turing-NLG study point (analytical uses the compiled SoA fast
- *    path; chunk-sim necessarily runs the direct estimator).
+ *    path; chunk-sim runs the estimator's collective plan, one
+ *    simulation per distinct collective per evaluation).
  *
  * Emits machine-readable BENCH_backend.json for CI tracking next to
  * BENCH_objective.json and BENCH_solver.json, so sim-backend
@@ -40,19 +39,18 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Queries/sec of @p backend over @p iters collective-timing calls.
- *  @p vary_size defeats the memo cache (every query unique). */
+/** Queries/sec of @p backend over @p iters collective-timing calls,
+ *  each of a distinct size. */
 double
 timingQueriesPerSec(const TimingBackend* backend, int iters,
                     const std::vector<DimSpan>& spans,
-                    const BwConfig& bw, bool vary_size)
+                    const BwConfig& bw)
 {
-    // Warm-up (and memo fill for the repeated-query case).
     backend->timing(CollectiveType::AllReduce, 1e9, spans, bw, false);
     double sink = 0.0;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) {
-        Bytes size = vary_size ? 1e9 + static_cast<double>(i) : 1e9;
+        Bytes size = 1e9 + static_cast<double>(i);
         sink += backend
                     ->timing(CollectiveType::AllReduce, size, spans, bw,
                              false)
@@ -83,7 +81,7 @@ objectiveEvalsPerSec(const Network& net,
     for (int i = 0; i < 16; ++i)
         points.push_back(rng.simplexPoint(net.numDims(), 300.0));
 
-    f(points[0]); // Warm-up (compile / memo fill).
+    f(points[0]); // Warm-up.
     double sink = 0.0;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < evals; ++i)
@@ -98,8 +96,8 @@ void
 run()
 {
     bench::banner("micro",
-                  "timing-backend throughput (analytical vs chunk-sim, "
-                  "memo cold/warm)");
+                  "timing-backend throughput (analytical vs "
+                  "chunk-sim)");
 
     // Single-threaded so queries/sec measures the seam, not the pool.
     ThreadPool::setGlobalThreads(1);
@@ -112,16 +110,8 @@ run()
     const TimingBackend* chunkSim =
         resolveTimingBackend(kChunkSimTimingBackendName);
 
-    double anaQps = timingQueriesPerSec(analytical, 200000, spans, bw,
-                                        true);
-    setChunkSimMemoEnabled(false);
-    double simColdQps =
-        timingQueriesPerSec(chunkSim, 2000, spans, bw, true);
-    setChunkSimMemoEnabled(true);
-    double simFreshQps =
-        timingQueriesPerSec(chunkSim, 2000, spans, bw, true);
-    double simWarmQps =
-        timingQueriesPerSec(chunkSim, 200000, spans, bw, false);
+    double anaQps = timingQueriesPerSec(analytical, 200000, spans, bw);
+    double simQps = timingQueriesPerSec(chunkSim, 2000, spans, bw);
 
     std::vector<TargetWorkload> targets{
         {wl::turingNlg(net.npus()), 1.0}};
@@ -133,15 +123,11 @@ run()
     Table t;
     t.header({"Path", "throughput/s"});
     t.row({"analytical query", Table::num(anaQps, 0)});
-    t.row({"chunk-sim query (memo off)", Table::num(simColdQps, 0)});
-    t.row({"chunk-sim query (memo miss)", Table::num(simFreshQps, 0)});
-    t.row({"chunk-sim query (memo hit)", Table::num(simWarmQps, 0)});
+    t.row({"chunk-sim query", Table::num(simQps, 0)});
     t.row({"objective eval, analytical (SoA)", Table::num(anaEvals, 0)});
     t.row({"objective eval, chunk-sim", Table::num(simEvals, 0)});
     t.print(std::cout);
-    std::cout << "memo hit speedup over fresh sim: "
-              << Table::num(simWarmQps / simFreshQps, 1)
-              << "x; analytical-vs-sim eval ratio: "
+    std::cout << "analytical-vs-sim eval ratio: "
               << Table::num(anaEvals / simEvals, 1) << "x\n";
 
     Json j = Json::object();
@@ -149,10 +135,7 @@ run()
     j["network"] = net.name();
     j["workload"] = targets[0].workload.name;
     j["analytical_queries_per_sec"] = anaQps;
-    j["chunk_sim_queries_per_sec_memo_off"] = simColdQps;
-    j["chunk_sim_queries_per_sec_memo_miss"] = simFreshQps;
-    j["chunk_sim_queries_per_sec_memo_hit"] = simWarmQps;
-    j["memo_hit_speedup"] = simWarmQps / simFreshQps;
+    j["chunk_sim_queries_per_sec"] = simQps;
     j["objective_evals_per_sec_analytical"] = anaEvals;
     j["objective_evals_per_sec_chunk_sim"] = simEvals;
     j["analytical_over_chunk_sim_eval_ratio"] = anaEvals / simEvals;

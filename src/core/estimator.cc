@@ -1,7 +1,10 @@
 #include "core/estimator.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "core/timing_backend.hh"
@@ -122,58 +125,142 @@ TrainingEstimator::spansForAll(const Parallelization& strategy) const
 }
 
 Seconds
-TrainingEstimator::commListTime(const std::vector<CommOp>& ops,
-                                const ScopeSpans& scopeSpans,
-                                const BwConfig& bw,
-                                EstimateDetail* detail) const
-{
-    Seconds total = 0.0;
-    for (const auto& op : ops) {
-        const auto& spans =
-            scopeSpans[static_cast<std::size_t>(op.scope)];
-        if (spans.empty())
-            continue;
-        auto timing = timingOf(op.type, op.size, spans, bw);
-        total += timing.time;
-        if (detail) {
-            for (std::size_t s = 0; s < spans.size(); ++s) {
-                detail->dimBusy[spans[s].dim] += timing.timePerDim[s];
-                detail->dimTraffic[spans[s].dim] +=
-                    timing.trafficPerDim[s];
-            }
-        }
-    }
-    return total;
-}
-
-Seconds
 TrainingEstimator::estimate(const Workload& w, const BwConfig& bw) const
 {
-    if (bw.size() != net_.numDims())
-        panic("bw rank ", bw.size(), " != network dims ", net_.numDims());
+    return evaluate(plan(w), bw);
+}
+
+CollectivePlan
+TrainingEstimator::plan(const Workload& w) const
+{
     if (w.strategy.npus() != net_.npus()) {
         fatal("workload ", w.name, " uses ", w.strategy.npus(),
               " NPUs but network ", net_.name(), " has ", net_.npus());
     }
 
-    ScopeSpans spans = spansForAll(w.strategy);
-    Seconds total = 0.0;
+    CollectivePlan p;
+    p.spans = spansForAll(w.strategy);
+    // Keyed by bit pattern, so -0.0 and 0.0 stay distinct and no two
+    // different collectives ever share an index.
+    std::map<std::tuple<int, std::uint64_t, int>, std::uint32_t> index;
+    auto planOps = [&](const std::vector<CommOp>& ops) {
+        std::vector<std::uint32_t> out;
+        for (const auto& op : ops) {
+            if (p.spans[static_cast<std::size_t>(op.scope)].empty())
+                continue;
+            auto [it, fresh] = index.try_emplace(
+                {static_cast<int>(op.type),
+                 std::bit_cast<std::uint64_t>(op.size),
+                 static_cast<int>(op.scope)},
+                static_cast<std::uint32_t>(p.collectives.size()));
+            if (fresh)
+                p.collectives.push_back({op.type, op.size, op.scope});
+            out.push_back(it->second);
+        }
+        return out;
+    };
+    p.layers.reserve(w.layers.size());
     for (const auto& layer : w.layers) {
-        Seconds fwdComm =
-            commListTime(layer.fwdComm, spans, bw, nullptr);
-        Seconds igComm = commListTime(layer.igComm, spans, bw, nullptr);
-        Seconds wgComm = commListTime(layer.wgComm, spans, bw, nullptr);
+        CollectivePlan::Layer pl;
+        pl.fwdCompute = layer.fwdCompute;
+        pl.igCompute = layer.igCompute;
+        pl.wgCompute = layer.wgCompute;
+        pl.fwd = planOps(layer.fwdComm);
+        pl.ig = planOps(layer.igComm);
+        pl.wg = planOps(layer.wgComm);
+        p.layers.push_back(std::move(pl));
+    }
+    return p;
+}
+
+Seconds
+TrainingEstimator::evaluate(const CollectivePlan& plan, const BwConfig& bw,
+                            EstimateDetail* detail) const
+{
+    if (bw.size() != net_.numDims())
+        panic("bw rank ", bw.size(), " != network dims ", net_.numDims());
+
+    std::vector<CollectiveTiming> timings;
+    timings.reserve(plan.collectives.size());
+    for (const auto& c : plan.collectives) {
+        timings.push_back(timingOf(
+            c.type, c.size,
+            plan.spans[static_cast<std::size_t>(c.scope)], bw));
+    }
+
+    EstimateDetail* d = detail;
+    if (d) {
+        *d = EstimateDetail{};
+        d->dimBusy.assign(net_.numDims(), 0.0);
+        d->dimTraffic.assign(net_.numDims(), 0.0);
+    }
+    // Sum of one phase's op times, in op order.
+    auto phaseTime = [&](const std::vector<std::uint32_t>& ops) {
+        Seconds total = 0.0;
+        for (std::uint32_t k : ops) {
+            const CollectiveTiming& timing = timings[k];
+            total += timing.time;
+            if (d) {
+                const auto& spans = plan.spans[static_cast<std::size_t>(
+                    plan.collectives[k].scope)];
+                for (std::size_t s = 0; s < spans.size(); ++s) {
+                    d->dimBusy[spans[s].dim] += timing.timePerDim[s];
+                    d->dimTraffic[spans[s].dim] += timing.trafficPerDim[s];
+                }
+            }
+        }
+        return total;
+    };
+
+    Seconds total = 0.0;
+    for (const auto& layer : plan.layers) {
+        Seconds fwdComm = phaseTime(layer.fwd);
+        Seconds igComm = phaseTime(layer.ig);
+        Seconds wgComm = phaseTime(layer.wg);
 
         total += layer.fwdCompute + fwdComm;
+        Seconds bwdTail = 0.0;
         switch (options_.loop) {
           case TrainingLoop::NoOverlap:
             total += layer.igCompute + igComm + layer.wgCompute + wgComm;
             break;
           case TrainingLoop::TpDpOverlap:
-            total += layer.igCompute +
-                     std::max(igComm, layer.wgCompute + wgComm);
+            bwdTail = std::max(igComm, layer.wgCompute + wgComm);
+            total += layer.igCompute + bwdTail;
             break;
         }
+        if (!d)
+            continue;
+        d->fwdCompute += layer.fwdCompute;
+        d->fwdComm += fwdComm;
+        d->igCompute += layer.igCompute;
+        d->igComm += igComm;
+        d->wgCompute += layer.wgCompute;
+        d->wgComm += wgComm;
+        if (options_.loop == TrainingLoop::NoOverlap) {
+            d->exposedComm += fwdComm + igComm + wgComm;
+        } else {
+            d->exposedComm += fwdComm + bwdTail -
+                              std::min(bwdTail, layer.wgCompute);
+        }
+    }
+    if (!d)
+        return total;
+
+    d->total = total;
+    d->computeTotal = d->fwdCompute + d->igCompute + d->wgCompute;
+    // Fig. 10 metric: bytes actually moved over the byte-capacity the
+    // whole fabric offers while communication is in flight.
+    double sumBw = 0.0;
+    for (double b : bw)
+        sumBw += b;
+    Bytes moved = 0.0;
+    for (Bytes t : d->dimTraffic)
+        moved += t;
+    Seconds commTime = d->fwdComm + d->igComm + d->wgComm;
+    if (commTime > 0.0 && sumBw > 0.0) {
+        d->avgBwUtilization =
+            moved / (sumBw * kGiga * commTime);
     }
     return total;
 }
@@ -372,52 +459,7 @@ EstimateDetail
 TrainingEstimator::detail(const Workload& w, const BwConfig& bw) const
 {
     EstimateDetail d;
-    d.dimBusy.assign(net_.numDims(), 0.0);
-    d.dimTraffic.assign(net_.numDims(), 0.0);
-
-    ScopeSpans spans = spansForAll(w.strategy);
-    for (const auto& layer : w.layers) {
-        Seconds fwdComm = commListTime(layer.fwdComm, spans, bw, &d);
-        Seconds igComm = commListTime(layer.igComm, spans, bw, &d);
-        Seconds wgComm = commListTime(layer.wgComm, spans, bw, &d);
-
-        d.fwdCompute += layer.fwdCompute;
-        d.fwdComm += fwdComm;
-        d.igCompute += layer.igCompute;
-        d.igComm += igComm;
-        d.wgCompute += layer.wgCompute;
-        d.wgComm += wgComm;
-
-        d.total += layer.fwdCompute + fwdComm;
-        switch (options_.loop) {
-          case TrainingLoop::NoOverlap:
-            d.total += layer.igCompute + igComm + layer.wgCompute + wgComm;
-            d.exposedComm += fwdComm + igComm + wgComm;
-            break;
-          case TrainingLoop::TpDpOverlap: {
-            Seconds bwdTail = std::max(igComm, layer.wgCompute + wgComm);
-            d.total += layer.igCompute + bwdTail;
-            d.exposedComm += fwdComm + bwdTail -
-                             std::min(bwdTail, layer.wgCompute);
-            break;
-          }
-        }
-    }
-    d.computeTotal = d.fwdCompute + d.igCompute + d.wgCompute;
-
-    // Fig. 10 metric: bytes actually moved over the byte-capacity the
-    // whole fabric offers while communication is in flight.
-    double sumBw = 0.0;
-    for (double b : bw)
-        sumBw += b;
-    Bytes moved = 0.0;
-    for (Bytes t : d.dimTraffic)
-        moved += t;
-    Seconds commTime = d.fwdComm + d.igComm + d.wgComm;
-    if (commTime > 0.0 && sumBw > 0.0) {
-        d.avgBwUtilization =
-            moved / (sumBw * kGiga * commTime);
-    }
+    evaluate(plan(w), bw, &d);
     return d;
 }
 

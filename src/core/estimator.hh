@@ -160,9 +160,10 @@ class CompiledWorkload
     /**
      * Evaluate @p n bandwidth configurations into @p out, SIMD lanes
      * laid across candidates (core/eval_kernels_impl.hh). Each out[i]
-     * is bit-identical to estimate(bws[i]). A remainder of two or
-     * more candidates past the last full SIMD block runs as one padded
-     * block; a lone remainder candidate takes the scalar path.
+     * is bit-identical to estimate(bws[i]). Candidates run two SIMD
+     * vectors at a time; a remainder of two or more runs as one
+     * padded block of one or two vectors, and a lone remainder
+     * candidate takes the scalar path.
      */
     void estimateBatch(const BwConfig* bws, std::size_t n,
                        Seconds* out) const;
@@ -249,6 +250,50 @@ class CompiledWorkload
 };
 
 /**
+ * A workload's collectives resolved once for repeated evaluation by
+ * TrainingEstimator::evaluate() under any timing source — the path
+ * every estimate() and detail() call takes, and the objective under a
+ * custom commTimeFn or non-default backend (only the analytical model
+ * precompiles to a CompiledWorkload).
+ *
+ * The comm-scope spans are mapped once. Each distinct (type, size
+ * bits, scope) collective is numbered in first-occurrence order, and
+ * every layer keeps, per phase, the indices of its ops in their
+ * original order; ops whose group spans no dimension cost nothing and
+ * are dropped. A layered workload issues a handful of distinct
+ * collectives hundreds of times, so an evaluation times each distinct
+ * one once and adds the results in op order — bit-identical to
+ * timing every op, since a timing is a pure function of the
+ * collective and the bandwidth vector.
+ *
+ * Built by TrainingEstimator::plan(); immutable, so one plan may be
+ * shared by any number of solver threads.
+ */
+struct CollectivePlan
+{
+    /** One distinct collective. */
+    struct Collective
+    {
+        CollectiveType type = CollectiveType::AllReduce;
+        Bytes size = 0.0;
+        CommScope scope = CommScope::Tp;
+    };
+
+    /** One layer: compute times and per-phase op indices. */
+    struct Layer
+    {
+        Seconds fwdCompute = 0.0;
+        Seconds igCompute = 0.0;
+        Seconds wgCompute = 0.0;
+        std::vector<std::uint32_t> fwd, ig, wg; ///< Into collectives.
+    };
+
+    std::array<std::vector<DimSpan>, 4> spans; ///< By CommScope.
+    std::vector<Collective> collectives;
+    std::vector<Layer> layers;
+};
+
+/**
  * Estimates training time for workloads on one network.
  *
  * All query methods are const and touch no mutable state, so a single
@@ -291,8 +336,24 @@ class TrainingEstimator
     Seconds commTime(const CommOp& op, const Parallelization& strategy,
                      const BwConfig& bw) const;
 
-    /** End-to-end iteration time. */
+    /** End-to-end iteration time: evaluate(plan(w), bw). */
     Seconds estimate(const Workload& w, const BwConfig& bw) const;
+
+    /**
+     * Resolve @p w's collectives for repeated evaluate() calls.
+     * @throws FatalError when @p w's NPU count differs from the
+     *         network's.
+     */
+    CollectivePlan plan(const Workload& w) const;
+
+    /**
+     * Iteration time of a planned workload under @p bw, timing each
+     * distinct collective once through the configured model. With
+     * @p detail, also fills the full breakdown (whose total is the
+     * returned time).
+     */
+    Seconds evaluate(const CollectivePlan& plan, const BwConfig& bw,
+                     EstimateDetail* detail = nullptr) const;
 
     /**
      * Precompile @p w for fast repeated evaluation. Only valid for the
@@ -301,7 +362,7 @@ class TrainingEstimator
      */
     CompiledWorkload compile(const Workload& w) const;
 
-    /** Full breakdown (slower; for reporting). */
+    /** Full breakdown: evaluate(plan(w), bw, &detail). */
     EstimateDetail detail(const Workload& w, const BwConfig& bw) const;
 
   private:
@@ -309,10 +370,6 @@ class TrainingEstimator
     CollectiveTiming timingOf(CollectiveType type, Bytes size,
                               const std::vector<DimSpan>& spans,
                               const BwConfig& bw) const;
-
-    Seconds commListTime(const std::vector<CommOp>& ops,
-                         const ScopeSpans& spans, const BwConfig& bw,
-                         EstimateDetail* detail) const;
 
     Network net_;
     EstimatorOptions options_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -124,12 +126,21 @@ makeObjective(OptimizationObjective objective,
               const std::vector<TargetWorkload>& targets)
 {
     // Custom collective-timing models and non-default timing backends
-    // cannot be precompiled: fall back to the direct estimator, one
-    // call at a time.
+    // cannot be precompiled: plan each target's collectives once, and
+    // time each distinct collective once per evaluation.
     if (!estimator.usesAnalyticalTiming()) {
+        auto plans =
+            std::make_shared<std::vector<std::pair<CollectivePlan, double>>>();
+        for (const auto& target : targets) {
+            plans->emplace_back(estimator.plan(target.workload),
+                                target.weight);
+        }
         std::function<Seconds(const Vec&)> time =
-            [&estimator, &targets](const Vec& bw) {
-                return weightedTime(estimator, targets, bw);
+            [&estimator, plans](const Vec& bw) {
+                Seconds t = 0.0;
+                for (const auto& [plan, weight] : *plans)
+                    t += weight * estimator.evaluate(plan, bw);
+                return t;
             };
         switch (objective) {
           case OptimizationObjective::PerfOpt:

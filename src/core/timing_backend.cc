@@ -1,10 +1,5 @@
 #include "core/timing_backend.hh"
 
-#include <atomic>
-#include <bit>
-#include <cstdint>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -39,48 +34,6 @@ class AnalyticalTimingBackend final : public TimingBackend
     }
 };
 
-std::atomic<bool> gChunkSimMemo{true};
-
-/**
- * Bit-exact memo key of one (collective, bandwidth) query: fixed-width
- * words for the type, the in-network flag, the field counts, the bit
- * patterns of size and bandwidths, and every span. Bit-equal keys are
- * finer than the canonical text (-0.0 and 0.0 differ), so two distinct
- * queries never share an entry.
- */
-using ChunkSimKey = std::vector<std::uint64_t>;
-
-struct ChunkSimKeyHash
-{
-    std::size_t
-    operator()(const ChunkSimKey& key) const
-    {
-        return std::hash<std::string_view>{}(std::string_view(
-            reinterpret_cast<const char*>(key.data()),
-            key.size() * sizeof(std::uint64_t)));
-    }
-};
-
-void
-chunkSimMemoKey(ChunkSimKey* key, CollectiveType type, Bytes size,
-                const std::vector<DimSpan>& spans, const BwConfig& bw,
-                bool in_network)
-{
-    key->clear();
-    key->push_back(static_cast<std::uint64_t>(type) |
-                   (in_network ? 1ull << 8 : 0ull));
-    key->push_back(spans.size());
-    key->push_back(bw.size());
-    key->push_back(std::bit_cast<std::uint64_t>(size));
-    for (const auto& span : spans) {
-        key->push_back(span.dim);
-        key->push_back(static_cast<std::uint32_t>(span.groupSize));
-        key->push_back(std::bit_cast<std::uint64_t>(span.efficiency));
-    }
-    for (double b : bw)
-        key->push_back(std::bit_cast<std::uint64_t>(b));
-}
-
 /** One chunk-pipelined collective through the chunk timeline. */
 CollectiveTiming
 chunkSimCollectiveTiming(CollectiveType type, Bytes size,
@@ -97,8 +50,8 @@ chunkSimCollectiveTiming(CollectiveType type, Bytes size,
     if (in_network && type == CollectiveType::AllReduce)
         return multiRailTime(type, size, spans, bw, true);
 
-    // One reused job per thread: a miss copies only the spans, into
-    // capacity the previous miss left behind.
+    // One reused job per thread: a query copies only the spans, into
+    // capacity the previous query left behind.
     thread_local CollectiveJob job;
     job.type = type;
     job.size = size;
@@ -125,11 +78,9 @@ chunkSimCollectiveTiming(CollectiveType type, Bytes size,
  * Chunk-granularity pipeline simulation per collective. Each query is
  * an independent single-threaded discrete-event run, so the backend is
  * trivially thread-safe and the parallel multistart/sweep fan-out on
- * the global pool batches many simulations at once. A per-thread
- * memoization cache (layered workloads issue the same collective
- * hundreds of times per evaluation, and multistart restarts revisit
- * the same bandwidth points) amortizes the sim cost without any shared
- * mutable state.
+ * the global pool batches many simulations at once. Layered workloads
+ * issue the same collective hundreds of times per evaluation; the
+ * estimator's CollectivePlan asks for each distinct one once.
  */
 class ChunkSimTimingBackend final : public TimingBackend
 {
@@ -143,7 +94,7 @@ class ChunkSimTimingBackend final : public TimingBackend
     description() const override
     {
         return "chunk-level pipeline simulation (ChunkTimeline, 64 "
-               "chunks; memoized per thread)";
+               "chunks)";
     }
 
     std::string
@@ -157,30 +108,8 @@ class ChunkSimTimingBackend final : public TimingBackend
            const std::vector<DimSpan>& spans, const BwConfig& bw,
            bool in_network) const override
     {
-        if (!chunkSimMemoEnabled()) {
-            return chunkSimCollectiveTiming(type, size, spans, bw,
-                                            in_network);
-        }
-        // Per-thread, so pool workers never contend; bounded so a long
-        // sweep over ever-changing bandwidth points cannot grow it
-        // without limit (clearing never changes results — the sim is a
-        // pure function of the key).
-        constexpr std::size_t kMemoCapacity = 1u << 15;
-        thread_local std::unordered_map<ChunkSimKey, CollectiveTiming,
-                                        ChunkSimKeyHash>
-            memo;
-        // Reused lookup buffer: a hit allocates nothing.
-        thread_local ChunkSimKey key;
-        chunkSimMemoKey(&key, type, size, spans, bw, in_network);
-        auto it = memo.find(key);
-        if (it != memo.end())
-            return it->second;
-        if (memo.size() >= kMemoCapacity)
-            memo.clear();
-        CollectiveTiming timing =
-            chunkSimCollectiveTiming(type, size, spans, bw, in_network);
-        memo.emplace(key, timing);
-        return timing;
+        return chunkSimCollectiveTiming(type, size, spans, bw,
+                                        in_network);
     }
 };
 
@@ -248,18 +177,6 @@ resolveTimingBackend(const std::string& name)
               "' (registered: ", known, ")");
     }
     return b;
-}
-
-void
-setChunkSimMemoEnabled(bool enabled)
-{
-    gChunkSimMemo.store(enabled, std::memory_order_relaxed);
-}
-
-bool
-chunkSimMemoEnabled()
-{
-    return gChunkSimMemo.load(std::memory_order_relaxed);
 }
 
 double

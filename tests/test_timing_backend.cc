@@ -2,15 +2,29 @@
  * @file
  * Tests for the pluggable timing-backend layer: registry mechanics,
  * default-backend bit-identity with the seed analytical path, the
- * BACKEND study directive, and the study-cache-key folding rules.
+ * per-evaluation collective plan, the BACKEND study directive, and
+ * the study-cache-key folding rules.
  */
+
+#include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
 #include "core/estimator.hh"
+#include "core/objective.hh"
 #include "core/study_config.hh"
 #include "core/timing_backend.hh"
+#include "cost/cost_model.hh"
 #include "study/cache.hh"
 #include "topology/zoo.hh"
 #include "workload/zoo.hh"
@@ -136,27 +150,228 @@ TEST(TimingBackend, ChunkSimSingleDimensionMatchesAnalytical)
     }
 }
 
-TEST(TimingBackend, ChunkSimMemoOnAndOffAreBitIdentical)
+// --- Per-evaluation collective plan ------------------------------------
+
+/** The analytical model under another name, counting its calls. */
+class CountingTimingBackend final : public TimingBackend
 {
-    Network net = topo::threeDTorus();
-    auto spans = mapGroupToDims(net, 1, net.npus());
-    BwConfig bw{80.0, 40.0, 20.0};
-    const TimingBackend* sim = resolveTimingBackend("chunk-sim");
+  public:
+    std::string name() const override { return "counting-test"; }
 
-    ASSERT_TRUE(chunkSimMemoEnabled());
-    CollectiveTiming memoCold =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    CollectiveTiming memoWarm =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    setChunkSimMemoEnabled(false);
-    CollectiveTiming direct =
-        sim->timing(CollectiveType::AllReduce, 3e9, spans, bw, false);
-    setChunkSimMemoEnabled(true);
+    std::string
+    description() const override
+    {
+        return "analytical timing that counts its calls (tests)";
+    }
 
-    EXPECT_EQ(memoCold.time, direct.time);
-    EXPECT_EQ(memoWarm.time, direct.time);
-    EXPECT_EQ(memoCold.timePerDim, direct.timePerDim);
-    EXPECT_EQ(memoCold.trafficPerDim, direct.trafficPerDim);
+    CollectiveTiming
+    timing(CollectiveType type, Bytes size,
+           const std::vector<DimSpan>& spans, const BwConfig& bw,
+           bool in_network) const override
+    {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        return multiRailTime(type, size, spans, bw, in_network);
+    }
+
+    mutable std::atomic<long> calls{0};
+};
+
+/** The counting backend, registered globally on first use. */
+const CountingTimingBackend&
+countingBackend()
+{
+    static const CountingTimingBackend* backend = [] {
+        auto owned = std::make_unique<CountingTimingBackend>();
+        const CountingTimingBackend* raw = owned.get();
+        TimingBackendRegistry::global().add(std::move(owned));
+        return raw;
+    }();
+    return *backend;
+}
+
+/**
+ * estimate()/detail() written out op by op: every op with a nonempty
+ * group is timed through @p backend, in order, with the estimator's
+ * historical arithmetic.
+ */
+EstimateDetail
+referenceDetail(const TrainingEstimator& est, const TimingBackend& backend,
+                const Workload& w, const BwConfig& bw)
+{
+    EstimateDetail d;
+    d.dimBusy.assign(est.network().numDims(), 0.0);
+    d.dimTraffic.assign(est.network().numDims(), 0.0);
+    auto phase = [&](const std::vector<CommOp>& ops) {
+        Seconds total = 0.0;
+        for (const auto& op : ops) {
+            std::vector<DimSpan> spans = est.spansFor(w.strategy, op.scope);
+            if (spans.empty())
+                continue;
+            CollectiveTiming t =
+                backend.timing(op.type, op.size, spans, bw,
+                               est.options().inNetworkCollectives);
+            total += t.time;
+            for (std::size_t s = 0; s < spans.size(); ++s) {
+                d.dimBusy[spans[s].dim] += t.timePerDim[s];
+                d.dimTraffic[spans[s].dim] += t.trafficPerDim[s];
+            }
+        }
+        return total;
+    };
+    for (const auto& layer : w.layers) {
+        Seconds fwdComm = phase(layer.fwdComm);
+        Seconds igComm = phase(layer.igComm);
+        Seconds wgComm = phase(layer.wgComm);
+        d.fwdCompute += layer.fwdCompute;
+        d.fwdComm += fwdComm;
+        d.igCompute += layer.igCompute;
+        d.igComm += igComm;
+        d.wgCompute += layer.wgCompute;
+        d.wgComm += wgComm;
+        d.total += layer.fwdCompute + fwdComm;
+        if (est.options().loop == TrainingLoop::NoOverlap) {
+            d.total += layer.igCompute + igComm + layer.wgCompute + wgComm;
+            d.exposedComm += fwdComm + igComm + wgComm;
+        } else {
+            Seconds bwdTail = std::max(igComm, layer.wgCompute + wgComm);
+            d.total += layer.igCompute + bwdTail;
+            d.exposedComm += fwdComm + bwdTail -
+                             std::min(bwdTail, layer.wgCompute);
+        }
+    }
+    d.computeTotal = d.fwdCompute + d.igCompute + d.wgCompute;
+    double sumBw = 0.0;
+    for (double b : bw)
+        sumBw += b;
+    Bytes moved = 0.0;
+    for (Bytes t : d.dimTraffic)
+        moved += t;
+    Seconds comm = d.fwdComm + d.igComm + d.wgComm;
+    if (comm > 0.0 && sumBw > 0.0)
+        d.avgBwUtilization = moved / (sumBw * kGiga * comm);
+    return d;
+}
+
+/** Distinct (type, size bits, scope) collectives with a nonempty group,
+ *  and the number of such ops. */
+std::pair<std::size_t, std::size_t>
+countCollectives(const TrainingEstimator& est, const Workload& w)
+{
+    std::set<std::tuple<int, std::uint64_t, int>> distinct;
+    std::size_t ops = 0;
+    for (const auto& layer : w.layers) {
+        for (const auto* phase :
+             {&layer.fwdComm, &layer.igComm, &layer.wgComm}) {
+            for (const auto& op : *phase) {
+                if (est.spansFor(w.strategy, op.scope).empty())
+                    continue;
+                ++ops;
+                distinct.insert({static_cast<int>(op.type),
+                                 std::bit_cast<std::uint64_t>(op.size),
+                                 static_cast<int>(op.scope)});
+            }
+        }
+    }
+    return {distinct.size(), ops};
+}
+
+void
+expectBitEqual(double got, double want, const char* what)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want))
+        << what << ": " << got << " vs " << want;
+}
+
+void
+expectBitEqual(const std::vector<double>& got,
+               const std::vector<double>& want, const char* what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectBitEqual(got[i], want[i], what);
+}
+
+/**
+ * Timing each distinct collective once per evaluation must be
+ * bit-identical to timing every op: estimate(), detail() and the
+ * non-compiled objective against the per-op reference, under a
+ * counting backend and under chunk-sim, both training loops, and
+ * in-network collectives on and off. The counting backend sees
+ * exactly one call per distinct collective per evaluation.
+ */
+TEST(CollectivePlan, MatchesPerOpReferenceAndTimesEachCollectiveOnce)
+{
+    const CountingTimingBackend& counting = countingBackend();
+    Network net = Network::parse("RI(4)_FC(4)_SW(4)");
+    BwConfig bw{120.0, 70.0, 35.0};
+    CostModel cost = CostModel::defaultModel();
+    for (std::string backendName :
+         {counting.name(), std::string(kChunkSimTimingBackendName)}) {
+        for (TrainingLoop loop :
+             {TrainingLoop::NoOverlap, TrainingLoop::TpDpOverlap}) {
+            for (bool inNetwork : {false, true}) {
+                EstimatorOptions opt;
+                opt.loop = loop;
+                opt.inNetworkCollectives = inNetwork;
+                opt.timingBackend = backendName;
+                TrainingEstimator est(net, opt);
+                const TimingBackend& backend =
+                    *resolveTimingBackend(backendName);
+                for (const Workload& w :
+                     {wl::resnet50(net.npus()), wl::turingNlg(net.npus()),
+                      wl::dlrm(net.npus())}) {
+                    SCOPED_TRACE(backendName + " " + w.name +
+                                 (loop == TrainingLoop::NoOverlap
+                                      ? " NoOverlap"
+                                      : " TpDpOverlap") +
+                                 (inNetwork ? " in-network" : ""));
+                    EstimateDetail want =
+                        referenceDetail(est, backend, w, bw);
+                    auto [distinct, ops] = countCollectives(est, w);
+                    ASSERT_GT(distinct, 0u);
+
+                    counting.calls = 0;
+                    expectBitEqual(est.estimate(w, bw), want.total,
+                                   "estimate");
+                    EstimateDetail got = est.detail(w, bw);
+                    ScalarObjective f = makeObjective(
+                        OptimizationObjective::PerfOpt, est, cost,
+                        {{w, 1.0}});
+                    expectBitEqual(f(bw), want.total, "objective");
+                    expectBitEqual(f(bw), want.total, "objective");
+                    if (backendName == counting.name()) {
+                        // estimate, detail and two objective calls.
+                        EXPECT_EQ(counting.calls.load(),
+                                  static_cast<long>(4 * distinct))
+                            << distinct << " distinct of " << ops
+                            << " ops";
+                    }
+
+                    expectBitEqual(got.total, want.total, "total");
+                    expectBitEqual(got.computeTotal, want.computeTotal,
+                                   "computeTotal");
+                    expectBitEqual(got.exposedComm, want.exposedComm,
+                                   "exposedComm");
+                    expectBitEqual(got.fwdCompute, want.fwdCompute,
+                                   "fwdCompute");
+                    expectBitEqual(got.fwdComm, want.fwdComm, "fwdComm");
+                    expectBitEqual(got.igCompute, want.igCompute,
+                                   "igCompute");
+                    expectBitEqual(got.igComm, want.igComm, "igComm");
+                    expectBitEqual(got.wgCompute, want.wgCompute,
+                                   "wgCompute");
+                    expectBitEqual(got.wgComm, want.wgComm, "wgComm");
+                    expectBitEqual(got.dimBusy, want.dimBusy, "dimBusy");
+                    expectBitEqual(got.dimTraffic, want.dimTraffic,
+                                   "dimTraffic");
+                    expectBitEqual(got.avgBwUtilization,
+                                   want.avgBwUtilization,
+                                   "avgBwUtilization");
+                }
+            }
+        }
+    }
 }
 
 TEST(TimingBackend, InNetworkAllReduceFallsBackToClosedForm)
