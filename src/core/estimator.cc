@@ -175,7 +175,7 @@ TrainingEstimator::plan(const Workload& w) const
 
 Seconds
 TrainingEstimator::evaluate(const CollectivePlan& plan, const BwConfig& bw,
-                            EstimateDetail* detail) const
+                            EstimateDetail* d) const
 {
     if (bw.size() != net_.numDims())
         panic("bw rank ", bw.size(), " != network dims ", net_.numDims());
@@ -188,7 +188,6 @@ TrainingEstimator::evaluate(const CollectivePlan& plan, const BwConfig& bw,
             plan.spans[static_cast<std::size_t>(c.scope)], bw));
     }
 
-    EstimateDetail* d = detail;
     if (d) {
         *d = EstimateDetail{};
         d->dimBusy.assign(net_.numDims(), 0.0);
@@ -219,29 +218,29 @@ TrainingEstimator::evaluate(const CollectivePlan& plan, const BwConfig& bw,
         Seconds wgComm = phaseTime(layer.wg);
 
         total += layer.fwdCompute + fwdComm;
-        Seconds bwdTail = 0.0;
         switch (options_.loop) {
           case TrainingLoop::NoOverlap:
             total += layer.igCompute + igComm + layer.wgCompute + wgComm;
+            if (d)
+                d->exposedComm += fwdComm + igComm + wgComm;
             break;
-          case TrainingLoop::TpDpOverlap:
-            bwdTail = std::max(igComm, layer.wgCompute + wgComm);
+          case TrainingLoop::TpDpOverlap: {
+            Seconds bwdTail = std::max(igComm, layer.wgCompute + wgComm);
             total += layer.igCompute + bwdTail;
+            if (d) {
+                d->exposedComm += fwdComm + bwdTail -
+                                  std::min(bwdTail, layer.wgCompute);
+            }
             break;
+          }
         }
-        if (!d)
-            continue;
-        d->fwdCompute += layer.fwdCompute;
-        d->fwdComm += fwdComm;
-        d->igCompute += layer.igCompute;
-        d->igComm += igComm;
-        d->wgCompute += layer.wgCompute;
-        d->wgComm += wgComm;
-        if (options_.loop == TrainingLoop::NoOverlap) {
-            d->exposedComm += fwdComm + igComm + wgComm;
-        } else {
-            d->exposedComm += fwdComm + bwdTail -
-                              std::min(bwdTail, layer.wgCompute);
+        if (d) {
+            d->fwdCompute += layer.fwdCompute;
+            d->fwdComm += fwdComm;
+            d->igCompute += layer.igCompute;
+            d->igComm += igComm;
+            d->wgCompute += layer.wgCompute;
+            d->wgComm += wgComm;
         }
     }
     if (!d)

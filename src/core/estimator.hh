@@ -349,11 +349,11 @@ class TrainingEstimator
     /**
      * Iteration time of a planned workload under @p bw, timing each
      * distinct collective once through the configured model. With
-     * @p detail, also fills the full breakdown (whose total is the
+     * @p d, also fills the full breakdown (whose total is the
      * returned time).
      */
     Seconds evaluate(const CollectivePlan& plan, const BwConfig& bw,
-                     EstimateDetail* detail = nullptr) const;
+                     EstimateDetail* d = nullptr) const;
 
     /**
      * Precompile @p w for fast repeated evaluation. Only valid for the

@@ -49,7 +49,7 @@ struct LanePack
     static LanePack
     broadcast(double x)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = Lane::broadcast(x);
         return r;
@@ -58,7 +58,7 @@ struct LanePack
     static LanePack
     load(const double* p)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = Lane::load(p + k * Lane::kWidth);
         return r;
@@ -74,7 +74,7 @@ struct LanePack
     friend LanePack
     operator+(const LanePack& a, const LanePack& b)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = a.v[k] + b.v[k];
         return r;
@@ -83,7 +83,7 @@ struct LanePack
     friend LanePack
     operator*(const LanePack& a, const LanePack& b)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = a.v[k] * b.v[k];
         return r;
@@ -92,7 +92,7 @@ struct LanePack
     friend LanePack
     operator/(const LanePack& a, const LanePack& b)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = a.v[k] / b.v[k];
         return r;
@@ -101,7 +101,7 @@ struct LanePack
     static LanePack
     maxGt(const LanePack& a, const LanePack& b)
     {
-        LanePack r;
+        LanePack r{};
         for (std::size_t k = 0; k < V; ++k)
             r.v[k] = Lane::maxGt(a.v[k], b.v[k]);
         return r;

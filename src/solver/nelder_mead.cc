@@ -72,8 +72,8 @@ nelderMead(const ScalarObjective& f, const ConstraintSet& constraints,
     enum Trial : std::size_t { kReflect, kExpand, kContract, kTrials };
     Vec centroid(n);
     std::vector<Vec> trial(kTrials, Vec(n));
-    double trialValue[kTrials];
-    bool scored[kTrials];
+    double trialValue[kTrials] = {};
+    bool scored[kTrials] = {};
     auto score = [&](std::size_t t) {
         if (!scored[t]) {
             std::size_t count = batch ? kTrials - t : 1;

@@ -18,6 +18,9 @@
  *    rewrite to bit identity.
  *  - fig15, fig17 and fig18: the 4-D and multi-workload solver
  *    paths, which holds any solver or kernel rewrite to bit identity.
+ * Each file holds scenarioRunToJson(run).dump(1) plus a newline, the
+ * writer `--update-golden` uses, and is only rewritten for an
+ * intentional result change.
  *
  * Golden files live in tests/golden/<scenario>.json (path baked in via
  * LIBRA_GOLDEN_DIR). Regenerate after an intentional result change:

@@ -354,9 +354,9 @@ class CountingBatch final : public BatchEvaluable
  * next gradient batch, so only x0 and the last iterate are scored alone.
  * Pattern search runs under budgets of 1, 2, n (a cut in the middle
  * of a sweep), 2n - 1, 2n, 2n + 1 and the default; Nelder-Mead under
- * iteration caps of 1, 2 and the default. Both score every poll
- * window in batches, so each makes at most two scalar calls (its
- * start or its final projected point).
+ * iteration caps of 1, 2, 2n - 1, 2n, 2n + 1 and the default. Both
+ * score every poll window in batches, so each makes at most two
+ * scalar calls (its start or its final projected point).
  */
 TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
 {
@@ -418,7 +418,8 @@ TEST_P(FacetedSolvers, MatchPlainObjectiveBitExact)
         EXPECT_LE(counting->scalarCalls, 2);
     }
 
-    for (int cap : {1, 2, NelderMeadOptions{}.maxIterations}) {
+    for (int cap : {1, 2, 2 * n - 1, 2 * n, 2 * n + 1,
+                    NelderMeadOptions{}.maxIterations}) {
         SCOPED_TRACE("nelder-mead maxIterations " + std::to_string(cap));
         NelderMeadOptions nm;
         nm.maxIterations = cap;

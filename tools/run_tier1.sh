@@ -73,7 +73,7 @@ case "${MODE}" in
     )
     # The PR 1 threading contract: pool mechanics, bit-identical
     # results at any thread count, the batched matrix sweeps, the
-    # timing-backend layer (per-thread chunk-sim memo + crossval fuzz),
+    # timing-backend layer (collective plan + crossval fuzz),
     # the fault-tolerance layer (isolated sweeps, injector counters,
     # and line-atomic logging under concurrent cache warnings), the
     # cache-concurrency hammer, and the serve subsystem (LRU +
